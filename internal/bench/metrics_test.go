@@ -65,3 +65,41 @@ func TestCompareMetricsGate(t *testing.T) {
 		t.Fatal("unknown experiment id did not fail")
 	}
 }
+
+// hostClockMetrics are the gated metrics measured on the host's wall
+// clock rather than in simulated time, and so the only ones allowed to
+// differ between two collections.
+var hostClockMetrics = map[string]bool{"funcspeed/ratio": true}
+
+// TestCollectMetricsDeterministic collects every gated experiment twice
+// and requires every simulated metric to repeat exactly: a collector
+// whose result depends on goroutine timing (say, a worker-mode Submit
+// whose picks race the submissions) fails here instead of flaking the
+// regression gate.
+func TestCollectMetricsDeterministic(t *testing.T) {
+	ids := MetricExperimentIDs()
+	a, err := CollectMetrics(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := CollectMetrics(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Metrics) != len(b.Metrics) {
+		t.Fatalf("collected %d metrics, then %d", len(a.Metrics), len(b.Metrics))
+	}
+	for k, v := range a.Metrics {
+		if hostClockMetrics[k] {
+			continue
+		}
+		if w, ok := b.Metrics[k]; !ok || w != v {
+			t.Errorf("metric %s not deterministic: %v, then %v", k, v, w)
+		}
+	}
+	for k := range hostClockMetrics {
+		if _, ok := a.Metrics[k]; !ok {
+			t.Errorf("host-clock exclusion %s is no longer collected; drop it from the list", k)
+		}
+	}
+}

@@ -30,8 +30,9 @@ type tenantSpec struct {
 
 // multiTenantMachine builds a cost-only paper-scale machine with one
 // session per spec, each bound to a fresh arena of arenaBytes.
-func multiTenantMachine(specs []tenantSpec, arenaBytes int) (*pidcomm.Machine, []*pidcomm.Comm, error) {
-	mach, err := pidcomm.NewMachine(pidcomm.PaperSystem(len(specs)*arenaBytes), []int{32, 32}, pidcomm.CostOnly())
+func multiTenantMachine(specs []tenantSpec, arenaBytes int, opts ...pidcomm.MachineOption) (*pidcomm.Machine, []*pidcomm.Comm, error) {
+	opts = append([]pidcomm.MachineOption{pidcomm.CostOnly()}, opts...)
+	mach, err := pidcomm.NewMachine(pidcomm.PaperSystem(len(specs)*arenaBytes), []int{32, 32}, opts...)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -87,8 +88,11 @@ func runMultiTenant(specs []tenantSpec, m, requests int) (serialBD, fairBD pidco
 
 	// Weighted-fair: every stream submits asynchronously; the scheduler
 	// interleaves tenants by weight and the timeline overlaps their
-	// disjoint arenas.
-	fmach, fcomms, err := multiTenantMachine(specs, arena)
+	// disjoint arenas. The machine is stepped, so nothing runs until
+	// Flush drains the whole backlog: the picks, and hence the makespan,
+	// do not depend on goroutine timing (a background worker would start
+	// on the first submissions while later ones are still arriving).
+	fmach, fcomms, err := multiTenantMachine(specs, arena, pidcomm.WithStepped(true))
 	if err != nil {
 		return
 	}
@@ -105,13 +109,13 @@ func runMultiTenant(specs []tenantSpec, m, requests int) (serialBD, fairBD pidco
 			}
 		}
 	}
+	fmach.Flush()
 	for _, f := range futures {
 		if werr := f.Err(); werr != nil {
 			err = werr
 			return
 		}
 	}
-	fmach.Flush()
 	fairBD, fair = fmach.Breakdown(), fmach.Elapsed()
 	infos = fmach.Tenants()
 	return

@@ -617,38 +617,43 @@ func (c *Comm) execSubmitted(cp *CompiledPlan, notBefore cost.Seconds) (bd cost.
 		// arrival time (SubmitOptions.NotBefore).
 		earliest = notBefore
 	}
-	live := c.frontier[:0]
-	for _, pl := range c.frontier {
+	// The scan filters in place and writes an entry only once an earlier
+	// one was pruned, so a frontier with nothing to prune is not copied.
+	n := 0
+	for k := range c.frontier {
+		pl := &c.frontier[k]
 		if pl.end <= c.asyncBase {
 			continue
 		}
-		live = append(live, pl)
 		if pl.end > earliest && cp.regs.conflicts(pl.regs) {
 			earliest = pl.end
 		}
+		if n != k {
+			c.frontier[n] = *pl
+		}
+		n++
 	}
+	c.frontier = c.frontier[:n]
 	// Flows that never flush would still accumulate entries (asyncBase
 	// never advances): past maxFrontier, retire the oldest entries by
 	// conservatively raising the barrier to their latest finish. That
 	// only restricts where later plans may start — ordering is preserved
 	// and placement stays within the serial bound.
 	const maxFrontier = 256
-	if len(live) > maxFrontier {
-		drop := len(live) - maxFrontier
-		for _, pl := range live[:drop] {
-			if pl.end > c.asyncBase {
-				c.asyncBase = pl.end
+	if drop := n - maxFrontier; drop > 0 {
+		for k := range c.frontier[:drop] {
+			if e := c.frontier[k].end; e > c.asyncBase {
+				c.asyncBase = e
 			}
 		}
 		c.tl.SetFloor(c.asyncBase)
-		live = append(live[:0], live[drop:]...)
+		c.frontier = c.frontier[drop:]
 		if earliest < c.asyncBase {
 			earliest = c.asyncBase
 		}
 	}
-	c.frontier = live
 	start, end = c.tl.Place(earliest, cp.tr.segs)
-	c.frontier = append(c.frontier, placedPlan{regs: cp.regs, end: end})
+	c.pushFrontier(placedPlan{regs: cp.regs, end: end})
 
 	out, bd = c.runScheduleLocked(cp)
 	if out != nil {
@@ -662,6 +667,25 @@ func (c *Comm) execSubmitted(cp *CompiledPlan, notBefore cost.Seconds) (bd cost.
 		out = own
 	}
 	return bd, out, start, end, nil
+}
+
+// pushFrontier appends a placement to the hazard frontier. Overflow
+// retires the oldest entries by reslicing the frontier forward within
+// frontierBuf, its retained backing array; once the frontier reaches
+// capacity its entries move back to the array's front instead of growing
+// a new one, so a steady stream of submissions allocates nothing and
+// copies the frontier only once per capacity's worth of retirements.
+// Callers hold execMu.
+func (c *Comm) pushFrontier(p placedPlan) {
+	fr := c.frontier
+	if len(fr) == cap(fr) && len(fr) < cap(c.frontierBuf) {
+		fr = c.frontierBuf[:copy(c.frontierBuf[:len(fr)], fr)]
+	}
+	fr = append(fr, p)
+	if cap(fr) > cap(c.frontierBuf) {
+		c.frontierBuf = fr[:0] // append moved the frontier to a new array
+	}
+	c.frontier = fr
 }
 
 // placeSerialLocked appends segs to the timeline as a barrier placement
@@ -697,7 +721,7 @@ func (c *Comm) Flush() {
 	c.asyncMu.Unlock()
 	c.execMu.Lock()
 	c.placeSerialLocked(nil)
-	c.frontier = c.frontier[:0]
+	c.frontier = c.frontierBuf[:0]
 	c.execMu.Unlock()
 }
 

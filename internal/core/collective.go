@@ -59,6 +59,16 @@ func Span(off, bytes int) Region { return Region{Off: off, Bytes: bytes} }
 //
 // Hosts buffers are bound by reference: a compiled Scatter/Broadcast
 // plan reads their current contents on every Run.
+//
+// The optimized levels consume Src: for AlltoAll, ReduceScatter,
+// AllReduce and Reduce, PR, IM and CM (and Auto whenever it resolves to
+// one of them) run PE-assisted reordering, which rotates the blocks of
+// Src in place and leaves them rotated. A second Run of the same
+// descriptor, or a replay of its CompiledPlan, therefore needs its Src
+// rewritten first; over the rotated bytes it computes a different
+// result (a CM AlltoAll replayed this way mismatches on every PE).
+// Baseline leaves Src intact. Hazard tracking between submitted plans
+// counts a consumed Src as written.
 type Collective struct {
 	// Prim selects the primitive.
 	Prim Primitive

@@ -71,11 +71,13 @@ type Comm struct {
 
 	// tl is the overlap-aware elapsed-time timeline; asyncBase is the
 	// barrier behind which new submissions may not start, and frontier
-	// holds the placements still visible for hazard checks. All three are
+	// holds the placements still visible for hazard checks, oldest
+	// first, inside its retained backing array frontierBuf. All four are
 	// guarded by execMu (async.go).
-	tl        cost.Timeline
-	asyncBase cost.Seconds
-	frontier  []placedPlan
+	tl          cost.Timeline
+	asyncBase   cost.Seconds
+	frontier    []placedPlan
+	frontierBuf []placedPlan
 
 	// asyncMu guards the submission queues, the weighted-fair virtual
 	// clock and the worker state; asyncCond signals queue drain to

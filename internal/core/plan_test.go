@@ -418,3 +418,39 @@ func TestRotateBlocksWorkRounding(t *testing.T) {
 		}
 	}
 }
+
+// The optimized levels consume the source region: PR, IM and CM rotate
+// Src in place and leave it rotated, so running the same descriptor (or
+// replaying its plan) again without rewriting Src yields a different
+// result, while rewriting Src first reproduces the first run exactly.
+// Baseline leaves Src untouched. This pins the contract documented on
+// Collective.Src.
+func TestOptimizedLevelsConsumeSrc(t *testing.T) {
+	const m = 32 * 8
+	for _, lvl := range []Level{Baseline, PR, IM, CM} {
+		c := asyncTestComm(t, false)
+		d := Collective{Prim: AlltoAll, Dims: "1", Src: Span(0, m), Dst: At(m), Level: lvl}
+		fillPEs(c, 0, m, 5)
+		src := c.GetPEBuffer(1, 0, m)
+		if _, err := c.Run(d); err != nil {
+			t.Fatal(err)
+		}
+		first := c.GetPEBuffer(1, m, m)
+		if changed := !bytes.Equal(c.GetPEBuffer(1, 0, m), src); changed != (lvl != Baseline) {
+			t.Errorf("%v: Src changed by the run = %v, want %v", lvl, changed, lvl != Baseline)
+		}
+		if _, err := c.Run(d); err != nil {
+			t.Fatal(err)
+		}
+		if same := bytes.Equal(c.GetPEBuffer(1, m, m), first); same != (lvl == Baseline) {
+			t.Errorf("%v: rerun without rewriting Src reproduced the result = %v, want %v", lvl, same, lvl == Baseline)
+		}
+		fillPEs(c, 0, m, 5)
+		if _, err := c.Run(d); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(c.GetPEBuffer(1, m, m), first) {
+			t.Errorf("%v: rerun after rewriting Src differs from the first run", lvl)
+		}
+	}
+}

@@ -278,12 +278,20 @@ const lookaheadCheckpoint = 128
 // private projection cost.Timeline of the plans it has served so far
 // and, at each pick, scores every eligible candidate by dry-placing its
 // cached charge trace first — followed by all other candidates — on a
-// clone of the projection; the candidate minimizing the projected
+// copy of the projection; the candidate minimizing the projected
 // makespan wins (ties fall to edfLess, so deadlines still order equal-
 // makespan picks — the EDF x lookahead composition internal/serve runs).
 // Scoring is joint, not greedy-single: placing the remaining candidates
 // too is what makes the scheduler prefer the plan whose lanes the others
 // hide under, rather than simply the cheapest plan.
+//
+// The copy is one reused scratch timeline (Timeline.CopyFrom), so a
+// warmed pick allocates nothing. Scoring is bounded: a candidate's dry
+// placement stops as soon as its partial makespan strictly exceeds the
+// best score so far, since the makespan never decreases under further
+// placements and that candidate can no longer win or tie. Equal scores
+// run to completion, so the edfLess tie-break sees exactly the scores an
+// unbounded scoring would.
 //
 // The projection deliberately approximates the Comm's real timeline (it
 // starts plans at their arrival time, not at the hazard frontier): it
@@ -291,9 +299,10 @@ const lookaheadCheckpoint = 128
 // a pick equally. Results stay bit-identical to serial execution because
 // the funnel only ever offers hazard-free candidates.
 type lookaheadSched struct {
-	proj   cost.Timeline
-	booked int
-	elig   []int // scratch: indices of starvation-eligible candidates
+	proj    cost.Timeline
+	scratch cost.Timeline // reused per-candidate copy of proj
+	booked  int
+	elig    []int // scratch: indices of starvation-eligible candidates
 }
 
 func (s *lookaheadSched) Name() string     { return "lookahead" }
@@ -330,9 +339,12 @@ func (s *lookaheadSched) pickBest(cands []Candidate) int {
 		}
 	}
 	best := -1
-	var bestFinish cost.Seconds
+	bestFinish := cost.Seconds(math.Inf(1))
 	for _, i := range s.elig {
-		fin := s.score(cands, i)
+		fin, ok := s.score(cands, i, bestFinish)
+		if !ok {
+			continue
+		}
 		if best < 0 || fin < bestFinish ||
 			(fin == bestFinish && edfLess(cands[i].F, cands[best].F)) {
 			best, bestFinish = i, fin
@@ -342,19 +354,26 @@ func (s *lookaheadSched) pickBest(cands []Candidate) int {
 }
 
 // score dry-places candidate i first, then every other candidate in
-// offer order, on a clone of the projection and returns the resulting
-// makespan. The hypothetical order is hazard-valid: candidates are
+// offer order, on a copy of the projection and returns the resulting
+// makespan. It gives up (ok false) as soon as the partial makespan
+// exceeds bound. The hypothetical order is hazard-valid: candidates are
 // pairwise independent (each conflicts with no earlier queued plan, and
 // they are all queued).
-func (s *lookaheadSched) score(cands []Candidate, i int) cost.Seconds {
-	tl := s.proj.Clone()
-	tl.Place(cands[i].F.notBefore, cands[i].F.cp.tr.segs)
+func (s *lookaheadSched) score(cands []Candidate, i int, bound cost.Seconds) (fin cost.Seconds, ok bool) {
+	tl := &s.scratch
+	tl.CopyFrom(&s.proj)
+	if tl.Place(cands[i].F.notBefore, cands[i].F.cp.tr.segs); tl.Elapsed() > bound {
+		return 0, false
+	}
 	for j, cd := range cands {
-		if j != i {
-			tl.Place(cd.F.notBefore, cd.F.cp.tr.segs)
+		if j == i {
+			continue
+		}
+		if tl.Place(cd.F.notBefore, cd.F.cp.tr.segs); tl.Elapsed() > bound {
+			return 0, false
 		}
 	}
-	return tl.Elapsed()
+	return tl.Elapsed(), true
 }
 
 // book commits the served plan to the projection.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -256,6 +257,58 @@ func TestSchedulersConcurrentDrain(t *testing.T) {
 				if err := f.Err(); err != nil {
 					t.Fatalf("submission %d: %v", i, err)
 				}
+			}
+		})
+	}
+}
+
+// lookaheadCands builds n pairwise-independent candidates with varied
+// CPU/bus/PE lane profiles and staggered arrivals, spread over four
+// equally weighted buckets, for the lookahead allocation gate and
+// benchmark.
+func lookaheadCands(n int) []Candidate {
+	cands := make([]Candidate, n)
+	for i := range cands {
+		k := cost.Seconds(1 + i%5)
+		segs := []cost.Segment{
+			{Lane: cost.LaneCPU, Dur: k}, {Lane: cost.LaneBus, Dur: 6 - k}, {Lane: cost.LanePE, Dur: k / 2},
+		}
+		f := fakeSegFuture(uint64(i+1), segs[i%2:])
+		f.notBefore = cost.Seconds(i % 7)
+		cands[i] = Candidate{F: f, Head: i < 4, VTime: float64(i % 4), Weight: 1}
+	}
+	return cands
+}
+
+// A warmed lookahead pick allocates nothing: candidates are scored on a
+// reused scratch copy of the projection, and the projection's interval
+// lists keep their backing arrays across checkpoint pruning.
+func TestLookaheadPickAllocs(t *testing.T) {
+	cands := lookaheadCands(32)
+	s := &lookaheadSched{}
+	for i := 0; i < 4*lookaheadCheckpoint; i++ {
+		s.Pick(cands)
+	}
+	if avg := testing.AllocsPerRun(2*lookaheadCheckpoint, func() { s.Pick(cands) }); avg != 0 {
+		t.Fatalf("warmed lookahead Pick allocates %v per call, want 0", avg)
+	}
+}
+
+// BenchmarkLookaheadPick measures one lookahead pick (scoring every
+// candidate, then booking the winner on the projection) at candidate
+// windows of 8, 32 and 128 plans, after one warm-up checkpoint cycle.
+func BenchmarkLookaheadPick(b *testing.B) {
+	for _, w := range []int{8, 32, 128} {
+		b.Run(fmt.Sprintf("window=%d", w), func(b *testing.B) {
+			cands := lookaheadCands(w)
+			s := &lookaheadSched{}
+			for i := 0; i < lookaheadCheckpoint; i++ {
+				s.Pick(cands) // one checkpoint cycle grows every buffer
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Pick(cands)
 			}
 		})
 	}

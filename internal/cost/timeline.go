@@ -1,5 +1,7 @@
 package cost
 
+import "sort"
+
 // This file provides overlap-aware elapsed-time accounting. The Meter
 // (cost.go) sums *work*: every charge adds to its category no matter when
 // it happens, which models fully serialized execution. Asynchronous plan
@@ -126,15 +128,21 @@ type interval struct{ start, end Seconds }
 // lane a set of busy intervals, placed by first-fit. The zero value is an
 // empty timeline ready to use. Timeline is not safe for concurrent use;
 // core.Comm guards its timeline with the execution lock.
+//
+// A lane's live intervals are busy[l][head[l]:]. They are disjoint and
+// sorted, so their ends never decrease and first-fit binary-searches its
+// starting point. Intervals pruned by SetFloor stay in the dead prefix
+// busy[l][:head[l]] until it outgrows the live part.
 type Timeline struct {
 	busy  [NumLanes][]interval
+	head  [NumLanes]int
 	total [NumLanes]Seconds
 	end   Seconds
 	floor Seconds
 }
 
 // Elapsed returns the makespan: the finish time of the latest placed
-// segment.
+// segment. It never decreases under Place.
 func (tl *Timeline) Elapsed() Seconds { return tl.end }
 
 // LaneBusy returns the cumulative time ever placed on a lane — the
@@ -145,44 +153,42 @@ func (tl *Timeline) LaneBusy(l Lane) Seconds { return tl.total[l] }
 // Reset empties the timeline.
 func (tl *Timeline) Reset() { *tl = Timeline{} }
 
-// Clone returns an independent deep copy of the timeline: placements on
-// the clone never disturb the original and vice versa. Used for what-if
-// scoring — the lookahead submission scheduler dry-places each candidate
-// plan on a clone of its projection to compare projected makespans. The
-// copy is deep because place() books intervals with an in-place
-// insert-shift that would corrupt a shared backing array.
-func (tl *Timeline) Clone() Timeline {
-	out := *tl
+// CopyFrom makes tl an independent copy of src: placements on either
+// never disturb the other. It reuses tl's interval buffers, so once they
+// are large enough it allocates nothing — the lookahead submission
+// scheduler copies its projection into one scratch timeline per
+// candidate it scores. Only src's live intervals are copied.
+func (tl *Timeline) CopyFrom(src *Timeline) {
 	for l := range tl.busy {
-		if len(tl.busy[l]) > 0 {
-			out.busy[l] = append([]interval(nil), tl.busy[l]...)
-		} else {
-			out.busy[l] = nil
-		}
+		tl.busy[l] = append(tl.busy[l][:0], src.busy[l][src.head[l]:]...)
+		tl.head[l] = 0
 	}
-	return out
+	tl.total, tl.end, tl.floor = src.total, src.end, src.floor
 }
 
 // SetFloor declares that no future placement will start before f (a
 // barrier: a serial run or queue flush happened at f). Busy intervals
 // entirely before the floor can never border a usable gap again and are
-// pruned, keeping the lists — and the first-fit search — bounded by the
-// work in flight since the last barrier rather than the timeline's whole
-// history.
+// pruned, keeping the live lists — and the first-fit search — bounded by
+// the work in flight since the last barrier rather than the timeline's
+// whole history. Pruning advances each lane's head offset; the dead
+// prefix is compacted away only once it exceeds half the lane's slice,
+// so repeated barriers cost amortised O(1) per pruned interval.
 func (tl *Timeline) SetFloor(f Seconds) {
 	if f <= tl.floor {
 		return
 	}
 	tl.floor = f
 	for l := range tl.busy {
-		ivs := tl.busy[l]
-		i := 0
-		for i < len(ivs) && ivs[i].end <= f {
-			i++
+		ivs, h := tl.busy[l], tl.head[l]
+		for h < len(ivs) && ivs[h].end <= f {
+			h++
 		}
-		if i > 0 {
-			tl.busy[l] = append(ivs[:0], ivs[i:]...)
+		if 2*h > len(ivs) {
+			tl.busy[l] = ivs[:copy(ivs, ivs[h:])]
+			h = 0
 		}
+		tl.head[l] = h
 	}
 }
 
@@ -230,12 +236,13 @@ func (tl *Timeline) PlaceSerial(segs []Segment) (start, finish Seconds) {
 // and returns the booked start time.
 func (tl *Timeline) place(lane Lane, from, dur Seconds) Seconds {
 	ivs := tl.busy[lane]
+	// First-fit skips every interval ending at or before from, and ends
+	// never decrease: binary-search the first one ending after it. From
+	// there on each interval ends no earlier than the candidate position.
+	h := tl.head[lane]
+	i := h + sort.Search(len(ivs)-h, func(k int) bool { return ivs[h+k].end > from })
 	pos := from
-	i := 0
 	for ; i < len(ivs); i++ {
-		if ivs[i].end <= pos {
-			continue // entirely before the candidate position
-		}
 		if pos+dur <= ivs[i].start {
 			break // fits in the gap before interval i
 		}

@@ -595,6 +595,9 @@ func Run(cfg Config) (Result, error) {
 			}
 			continue
 		}
+		if observeStep != nil {
+			observeStep(f)
+		}
 		if s, _ := f.Window(); s > clock {
 			clock = s
 		}
@@ -643,6 +646,10 @@ func Run(cfg Config) (Result, error) {
 	res.FreeSpans = mach.FreeArenaSpans()
 	return res, nil
 }
+
+// observeStep, when set, sees every future Run's scheduling loop steps,
+// in completion order. Tests use it to fingerprint the pick sequence.
+var observeStep func(*pidcomm.Future)
 
 // Scenario builds the canonical serving mix the benchmark gate and the
 // property tests pin: a latency-sensitive "chat" tenant (MLP, tight

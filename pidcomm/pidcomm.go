@@ -37,6 +37,13 @@
 // applicable level) and a destination Region with zero Bytes takes the
 // size the primitive implies.
 //
+// The optimized levels consume their input. For AlltoAll,
+// ReduceScatter, AllReduce and Reduce, PR, IM and CM (and Auto when it
+// picks one of them) rotate the Src region in place and leave it
+// rotated, as the real library does. Before running a descriptor or a
+// compiled plan again, rewrite its Src (SetPEBuffer); a replay over the
+// rotated bytes computes a different result. Baseline leaves Src intact.
+//
 // # Multi-tenant serving
 //
 // Several models can share one simulated machine: each NewTenant call
