@@ -228,15 +228,17 @@ func printPlanCache(mram int) error {
 	if m < 256 {
 		return fmt.Errorf("-mram %d too small for the plan-cache demo (need at least %d B/bank)", mram, 5*256)
 	}
+	src, dst := core.Span(0, m), core.At(2*m)
+	calls := []core.Collective{
+		{Prim: core.AlltoAll, Dims: "10", Src: src, Dst: dst, Level: core.CM},
+		{Prim: core.ReduceScatter, Dims: "10", Src: src, Dst: dst, Elem: elem.I32, Op: elem.Sum, Level: core.IM},
+		{Prim: core.AllReduce, Dims: "10", Src: src, Dst: dst, Elem: elem.I32, Op: elem.Sum, Level: core.IM},
+	}
 	run := func() error {
-		if _, err := comm.AlltoAll("10", 0, 2*m, m, core.CM); err != nil {
-			return err
-		}
-		if _, err := comm.ReduceScatter("10", 0, 2*m, m, elem.I32, elem.Sum, core.IM); err != nil {
-			return err
-		}
-		if _, err := comm.AllReduce("10", 0, 2*m, m, elem.I32, elem.Sum, core.IM); err != nil {
-			return err
+		for _, d := range calls {
+			if _, err := comm.Run(d); err != nil {
+				return err
+			}
 		}
 		return nil
 	}

@@ -38,20 +38,19 @@ func runPrimWithParams(shape []int, dims string, size int, prim core.Primitive, 
 			comm.SetPEBuffer(pe, 0, buf)
 		}
 	}
-	var bd cost.Breakdown
+	d := core.Collective{Prim: prim, Dims: dims,
+		Src: core.Span(0, size), Dst: core.At(2 * size), Level: lvl}
 	switch prim {
 	case core.AlltoAll:
-		bd, err = comm.AlltoAll(dims, 0, 2*size, size, lvl)
-	case core.ReduceScatter:
-		bd, err = comm.ReduceScatter(dims, 0, 2*size, size, elem.I32, elem.Sum, lvl)
-	case core.AllReduce:
-		bd, err = comm.AllReduce(dims, 0, 2*size, size, elem.I32, elem.Sum, lvl)
+	case core.ReduceScatter, core.AllReduce:
+		d.Elem, d.Op = elem.I32, elem.Sum
 	case core.AllGather:
 		s := size / nGroupSize(comm, dims)
-		bd, err = comm.AllGather(dims, 0, 2*s, s, lvl)
+		d.Src, d.Dst = core.Span(0, s), core.At(2*s)
 	default:
 		return 0, cost.Breakdown{}, fmt.Errorf("bench: extension runner supports AA/RS/AR/AG, got %v", prim)
 	}
+	bd, err := comm.Run(d)
 	if err != nil {
 		return 0, cost.Breakdown{}, err
 	}

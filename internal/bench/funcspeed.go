@@ -45,7 +45,8 @@ func measureFuncSpeed(shape []int, recvPerPE, workers, trials int) (funcSpeedRes
 		rng.Read(buf)
 		comm.SetPEBuffer(pe, 0, buf)
 	}
-	cp, err := comm.CompileAlltoAll("10", 0, 2*recvPerPE, recvPerPE, core.CM)
+	cp, err := comm.Compile(core.Collective{Prim: core.AlltoAll, Dims: "10",
+		Src: core.Span(0, recvPerPE), Dst: core.At(2 * recvPerPE), Level: core.CM})
 	if err != nil {
 		return funcSpeedResult{}, err
 	}

@@ -8,12 +8,11 @@ import (
 	"repro/internal/cost"
 	"repro/internal/dram"
 	"repro/internal/elem"
-	"repro/internal/multihost"
+	"repro/pidcomm"
 )
 
 func init() {
 	register("fig23b", "AllReduce and AlltoAll on a multi-host environment (1/2/4 hosts)", func(o Options) error {
-		perPE := sizeFor(o, 16<<10, 128<<10) // paper: 2 MB per PE
 		t := newTable("Primitive", "Hosts", "Base(ms)", "PID-Comm(ms)", "Net share (ours)")
 		for _, aa := range []bool{false, true} {
 			name := "AllReduce"
@@ -23,48 +22,7 @@ func init() {
 			for _, hosts := range []int{1, 2, 4} {
 				var times [2]cost.Breakdown
 				for i, lvl := range []core.Level{core.Baseline, core.CM} {
-					// 256 PEs per host (one four-rank channel), § IX-A.
-					geo := dram.Geometry{Channels: 1, RanksPerChannel: 4, BanksPerChip: 8,
-						MramPerBank: mramFor(3 * perPE * max(1, hosts))}
-					var cl *multihost.Cluster
-					var err error
-					if o.CostOnly {
-						cl, err = multihost.NewCostOnly(hosts, geo, cost.DefaultParams())
-					} else {
-						cl, err = multihost.New(hosts, geo, cost.DefaultParams())
-					}
-					if err != nil {
-						return err
-					}
-					P := cl.PEsPerHost()
-					var m int
-					if aa {
-						m = hosts * P * (perPE / (hosts * P) / 8 * 8)
-						if m == 0 {
-							m = hosts * P * 8
-						}
-					} else {
-						m = perPE / (8 * P) * (8 * P)
-						if m == 0 {
-							m = 8 * P
-						}
-					}
-					if !o.CostOnly {
-						rng := rand.New(rand.NewSource(5))
-						buf := make([]byte, m)
-						for h := 0; h < hosts; h++ {
-							for p := 0; p < P; p++ {
-								rng.Read(buf)
-								cl.Host(h).SetPEBuffer(p, 0, buf)
-							}
-						}
-					}
-					var bd cost.Breakdown
-					if aa {
-						bd, err = cl.AlltoAll(0, 2*m, m/(hosts*P), lvl)
-					} else {
-						bd, err = cl.AllReduce(0, 2*m, m, elem.I32, elem.Sum, lvl)
-					}
+					bd, err := fig23bPoint(o, aa, hosts, lvl)
 					if err != nil {
 						return err
 					}
@@ -82,17 +40,62 @@ func init() {
 	})
 }
 
+// fig23bPoint runs one point of Figure 23(b): a global AllReduce (or,
+// with aa, AlltoAll) across hosts hosts of 256 PEs each (one four-rank
+// channel, § IX-A), every host a 1-D hypercube so the collective spans
+// the whole cluster.
+func fig23bPoint(o Options, aa bool, hosts int, lvl core.Level) (cost.Breakdown, error) {
+	perPE := sizeFor(o, 16<<10, 128<<10) // paper: 2 MB per PE
+	geo := dram.Geometry{Channels: 1, RanksPerChannel: 4, BanksPerChip: 8,
+		MramPerBank: mramFor(3 * perPE * hosts)}
+	var opts []pidcomm.MachineOption
+	if o.CostOnly {
+		opts = append(opts, pidcomm.CostOnly())
+	}
+	cl, err := pidcomm.NewCluster(hosts, geo, []int{geo.NumPEs()}, opts...)
+	if err != nil {
+		return cost.Breakdown{}, err
+	}
+	cs, err := cl.Comm()
+	if err != nil {
+		return cost.Breakdown{}, err
+	}
+	P := cl.PEsPerHost()
+	var m int
+	if aa {
+		m = hosts * P * (perPE / (hosts * P) / 8 * 8)
+		if m == 0 {
+			m = hosts * P * 8
+		}
+	} else {
+		m = perPE / (8 * P) * (8 * P)
+		if m == 0 {
+			m = 8 * P
+		}
+	}
+	if !o.CostOnly {
+		rng := rand.New(rand.NewSource(5))
+		buf := make([]byte, m)
+		for h := 0; h < hosts; h++ {
+			for p := 0; p < P; p++ {
+				rng.Read(buf)
+				cs.Host(h).SetPEBuffer(p, 0, buf)
+			}
+		}
+	}
+	d := core.Collective{Prim: core.AllReduce, Dims: "1",
+		Src: core.Span(0, m), Dst: core.At(2 * m), Elem: elem.I32, Op: elem.Sum, Level: lvl}
+	if aa {
+		d = core.Collective{Prim: core.AlltoAll, Dims: "1",
+			Src: core.Span(0, m), Dst: core.At(2 * m), Level: lvl}
+	}
+	return cs.Run(core.ClusterCollective{Collective: d})
+}
+
 func mramFor(n int) int {
 	p := 1 << 12
 	for p < n {
 		p *= 2
 	}
 	return p
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

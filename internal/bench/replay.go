@@ -8,12 +8,6 @@ import (
 	"repro/internal/elem"
 )
 
-// replaySpec is one row of the replay-throughput experiment.
-type replaySpec struct {
-	prim core.Primitive
-	lvl  core.Level
-}
-
 // ReplayResult holds one primitive's cold-compile vs cached-replay
 // measurement.
 type ReplayResult struct {
@@ -44,23 +38,16 @@ func MeasureReplay(recvPerPE, iters int) ([]ReplayResult, error) {
 		return nil, err
 	}
 	m := recvPerPE
-	specs := []replaySpec{
-		{core.AlltoAll, core.CM},
-		{core.ReduceScatter, core.IM},
-		{core.AllReduce, core.IM},
+	src, dst := core.Span(0, m), core.At(2*m)
+	specs := []core.Collective{
+		{Prim: core.AlltoAll, Dims: "10", Src: src, Dst: dst, Level: core.CM},
+		{Prim: core.ReduceScatter, Dims: "10", Src: src, Dst: dst, Elem: elem.I32, Op: elem.Sum, Level: core.IM},
+		{Prim: core.AllReduce, Dims: "10", Src: src, Dst: dst, Elem: elem.I32, Op: elem.Sum, Level: core.IM},
 	}
 	var out []ReplayResult
-	for _, sp := range specs {
+	for _, d := range specs {
 		oneShot := func() error {
-			var err error
-			switch sp.prim {
-			case core.AlltoAll:
-				_, err = comm.AlltoAll("10", 0, 2*m, m, sp.lvl)
-			case core.ReduceScatter:
-				_, err = comm.ReduceScatter("10", 0, 2*m, m, elem.I32, elem.Sum, sp.lvl)
-			case core.AllReduce:
-				_, err = comm.AllReduce("10", 0, 2*m, m, elem.I32, elem.Sum, sp.lvl)
-			}
+			_, err := comm.Run(d)
 			return err
 		}
 		// Cold: compile each call.
@@ -85,7 +72,7 @@ func MeasureReplay(recvPerPE, iters int) ([]ReplayResult, error) {
 		}
 		cached := time.Since(start)
 		r := ReplayResult{
-			Prim:         sp.prim,
+			Prim:         d.Prim,
 			ColdPerSec:   float64(iters) / cold.Seconds(),
 			CachedPerSec: float64(iters) / cached.Seconds(),
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cost"
-	"repro/internal/elem"
 )
 
 // This file implements asynchronous plan execution: Submit enqueues a
@@ -282,7 +281,10 @@ func (f *Future) Results() [][]byte {
 // Window blocks until the execution completes and returns the plan's
 // interval [start, end) on the Comm's elapsed-time timeline. Dependent
 // plans have non-overlapping windows in hazard order; independent plans'
-// windows may overlap.
+// windows may overlap. The window is placed when the plan is picked: in
+// stepped mode it is reproducible, while under the background worker it
+// depends on how submissions interleave with the worker's picks (see
+// Comm.Elapsed).
 func (f *Future) Window() (start, end cost.Seconds) {
 	<-f.done
 	return f.start, f.end
@@ -730,6 +732,13 @@ func (c *Comm) Flush() {
 // submitted plans overlap where their MRAM footprints allow. For fully
 // serial workloads Elapsed equals the meter total; with async submission
 // it is lower by exactly the overlap won.
+//
+// The meter and MRAM contents equal a serial replay of the same plans
+// in either execution mode, but Elapsed is reproducible only in stepped
+// mode (SetStepped). The background worker picks among whatever is
+// queued when it is free and places each pick on the timeline right
+// then, so in worker mode Elapsed depends on how submissions interleave
+// with the worker, and two runs of the same program may differ.
 func (c *Comm) Elapsed() cost.Seconds {
 	c.execMu.Lock()
 	defer c.execMu.Unlock()
@@ -756,100 +765,4 @@ func (c *Comm) ExtendElapsed(b cost.Breakdown) {
 	c.execMu.Lock()
 	defer c.execMu.Unlock()
 	c.placeSerialLocked(segs)
-}
-
-// ---------------------------------------------------------------------
-// Submit entry points (one per primitive): Compile* + Submit. All are
-// deprecated positional shims — new code should build a Collective
-// descriptor and call Comm.Submit.
-// ---------------------------------------------------------------------
-
-// SubmitAlltoAll compiles (or fetches the cached plan for) an AlltoAll
-// call and submits one asynchronous execution. See Comm.AlltoAll for call
-// semantics and CompiledPlan.Submit for queue semantics.//
-// Deprecated: build a Collective descriptor and call Comm.Submit.
-func (c *Comm) SubmitAlltoAll(dims string, srcOff, dstOff, bytesPerPE int, lvl Level) (*Future, error) {
-	cp, err := c.CompileAlltoAll(dims, srcOff, dstOff, bytesPerPE, lvl)
-	if err != nil {
-		return nil, err
-	}
-	return cp.Submit(), nil
-}
-
-// SubmitReduceScatter compiles a ReduceScatter call and submits one
-// asynchronous execution.//
-// Deprecated: build a Collective descriptor and call Comm.Submit.
-func (c *Comm) SubmitReduceScatter(dims string, srcOff, dstOff, bytesPerPE int, t elem.Type, op elem.Op, lvl Level) (*Future, error) {
-	cp, err := c.CompileReduceScatter(dims, srcOff, dstOff, bytesPerPE, t, op, lvl)
-	if err != nil {
-		return nil, err
-	}
-	return cp.Submit(), nil
-}
-
-// SubmitAllReduce compiles an AllReduce call and submits one asynchronous
-// execution.//
-// Deprecated: build a Collective descriptor and call Comm.Submit.
-func (c *Comm) SubmitAllReduce(dims string, srcOff, dstOff, bytesPerPE int, t elem.Type, op elem.Op, lvl Level) (*Future, error) {
-	cp, err := c.CompileAllReduce(dims, srcOff, dstOff, bytesPerPE, t, op, lvl)
-	if err != nil {
-		return nil, err
-	}
-	return cp.Submit(), nil
-}
-
-// SubmitAllGather compiles an AllGather call and submits one asynchronous
-// execution.//
-// Deprecated: build a Collective descriptor and call Comm.Submit.
-func (c *Comm) SubmitAllGather(dims string, srcOff, dstOff, bytesPerPE int, lvl Level) (*Future, error) {
-	cp, err := c.CompileAllGather(dims, srcOff, dstOff, bytesPerPE, lvl)
-	if err != nil {
-		return nil, err
-	}
-	return cp.Submit(), nil
-}
-
-// SubmitScatter compiles a Scatter call bound to bufs and submits one
-// asynchronous execution. The buffers are read when the plan executes:
-// do not refill them until the future completes.//
-// Deprecated: build a Collective descriptor and call Comm.Submit.
-func (c *Comm) SubmitScatter(dims string, bufs [][]byte, dstOff, bytesPerPE int, lvl Level) (*Future, error) {
-	cp, err := c.CompileScatter(dims, bufs, dstOff, bytesPerPE, lvl)
-	if err != nil {
-		return nil, err
-	}
-	return cp.Submit(), nil
-}
-
-// SubmitGather compiles a rooted Gather and submits one asynchronous
-// execution; the future's Results hold the per-group buffers.//
-// Deprecated: build a Collective descriptor and call Comm.Submit.
-func (c *Comm) SubmitGather(dims string, srcOff, bytesPerPE int, lvl Level) (*Future, error) {
-	cp, err := c.CompileGather(dims, srcOff, bytesPerPE, lvl)
-	if err != nil {
-		return nil, err
-	}
-	return cp.Submit(), nil
-}
-
-// SubmitReduce compiles a rooted Reduce and submits one asynchronous
-// execution; the future's Results hold the per-group buffers.//
-// Deprecated: build a Collective descriptor and call Comm.Submit.
-func (c *Comm) SubmitReduce(dims string, srcOff, bytesPerPE int, t elem.Type, op elem.Op, lvl Level) (*Future, error) {
-	cp, err := c.CompileReduce(dims, srcOff, bytesPerPE, t, op, lvl)
-	if err != nil {
-		return nil, err
-	}
-	return cp.Submit(), nil
-}
-
-// SubmitBroadcast compiles a Broadcast bound to bufs and submits one
-// asynchronous execution. The buffers are read when the plan executes.//
-// Deprecated: build a Collective descriptor and call Comm.Submit.
-func (c *Comm) SubmitBroadcast(dims string, bufs [][]byte, dstOff int, lvl Level) (*Future, error) {
-	cp, err := c.CompileBroadcast(dims, bufs, dstOff, lvl)
-	if err != nil {
-		return nil, err
-	}
-	return cp.Submit(), nil
 }

@@ -50,10 +50,8 @@ import (
 // AllReduce as the benchmark baseline.
 //
 // On a cost-only cluster Hosts may be nil even for Broadcast; the
-// payload size is then taken from Dst.Bytes. (The legacy multihost
-// layer instead satisfied payload validation with a shared zero-scratch
-// buffer, which aliased across call sites; the descriptor form removes
-// the buffer entirely.)
+// payload size is then taken from Dst.Bytes, and no scratch buffer
+// stands in for the payload.
 type ClusterCollective struct {
 	Collective
 	Root int

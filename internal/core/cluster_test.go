@@ -130,7 +130,9 @@ func TestClusterMatchesFlatComm(t *testing.T) {
 			}}); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := flat.AllReduce("1", 0, 2*m, m, elem.I32, elem.Sum, IM); err != nil {
+			if _, err := flat.Run(Collective{Prim: AllReduce, Dims: "1",
+				Src: Span(0, m), Dst: At(2 * m),
+				Elem: elem.I32, Op: elem.Sum, Level: IM}); err != nil {
 				t.Fatal(err)
 			}
 			comparePEs(t, cl, ranks, flat, flatRank, 2*m, m)
@@ -147,7 +149,9 @@ func TestClusterMatchesFlatComm(t *testing.T) {
 			}}); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := flat.ReduceScatter("1", 0, 2*m, m, elem.I32, elem.Sum, IM); err != nil {
+			if _, err := flat.Run(Collective{Prim: ReduceScatter, Dims: "1",
+				Src: Span(0, m), Dst: At(2 * m),
+				Elem: elem.I32, Op: elem.Sum, Level: IM}); err != nil {
 				t.Fatal(err)
 			}
 			comparePEs(t, cl, ranks, flat, flatRank, 2*m, s)
@@ -162,7 +166,8 @@ func TestClusterMatchesFlatComm(t *testing.T) {
 			}}); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := flat.AllGather("1", 0, 1024, s, IM); err != nil {
+			if _, err := flat.Run(Collective{Prim: AllGather, Dims: "1",
+				Src: Span(0, s), Dst: At(1024), Level: IM}); err != nil {
 				t.Fatal(err)
 			}
 			comparePEs(t, cl, ranks, flat, flatRank, 1024, H*P*s)
@@ -178,7 +183,8 @@ func TestClusterMatchesFlatComm(t *testing.T) {
 			}}); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := flat.AlltoAll("1", 0, 2*m, m, IM); err != nil {
+			if _, err := flat.Run(Collective{Prim: AlltoAll, Dims: "1",
+				Src: Span(0, m), Dst: At(2 * m), Level: IM}); err != nil {
 				t.Fatal(err)
 			}
 			comparePEs(t, cl, ranks, flat, flatRank, 2*m, m)
@@ -193,7 +199,8 @@ func TestClusterMatchesFlatComm(t *testing.T) {
 			}, Root: H - 1}); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := flat.Broadcast("1", [][]byte{payload}, 64, IM); err != nil {
+			if _, err := flat.Run(Collective{Prim: Broadcast, Dims: "1",
+				Hosts: [][]byte{payload}, Dst: At(64), Level: IM}); err != nil {
 				t.Fatal(err)
 			}
 			comparePEs(t, cl, ranks, flat, flatRank, 64, len(payload))
@@ -208,7 +215,8 @@ func TestClusterMatchesFlatComm(t *testing.T) {
 			}}); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := flat.Scatter("1", [][]byte{buf}, 256, s, IM); err != nil {
+			if _, err := flat.Run(Collective{Prim: Scatter, Dims: "1",
+				Hosts: [][]byte{buf}, Dst: Span(256, s), Level: IM}); err != nil {
 				t.Fatal(err)
 			}
 			comparePEs(t, cl, ranks, flat, flatRank, 256, s)
@@ -227,7 +235,8 @@ func TestClusterMatchesFlatComm(t *testing.T) {
 			if _, err := cp.Run(); err != nil {
 				t.Fatal(err)
 			}
-			want, _, err := flat.Gather("1", 0, s, IM)
+			want, _, err := runRooted(flat, Collective{Prim: Gather, Dims: "1",
+				Src: Span(0, s), Level: IM})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -248,10 +257,16 @@ func TestClusterMatchesFlatComm(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := cp.Run(); err != nil {
+			bd, err := cp.Run()
+			if err != nil {
 				t.Fatal(err)
 			}
-			want, _, err := flat.Reduce("1", 0, m, elem.I16, elem.Sum, IM)
+			// Only reduced per-host copies cross the wire, but they do.
+			if H > 1 && bd.Get(cost.Network) <= 0 {
+				t.Error("cluster Reduce charged no network time")
+			}
+			want, _, err := runRooted(flat, Collective{Prim: Reduce, Dims: "1",
+				Src: Span(0, m), Elem: elem.I16, Op: elem.Sum, Level: IM})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -387,46 +402,133 @@ func TestClusterPlanCacheAndFusion(t *testing.T) {
 	}
 }
 
-// Satellite regression: the legacy cost-only cluster satisfied payload
-// validation with a shared zero-scratch buffer that aliased across call
-// sites. The descriptor form drops the buffer entirely — Hosts stays
-// nil, the size rides on Dst.Bytes — and interleaved calls of different
-// sizes must each price exactly like their functional twins.
+// A cost-only cluster must charge exactly what the functional cluster
+// charges: every primitive at 1 and 2 hosts, plus a regression case.
+// The legacy cost-only cluster satisfied payload validation with a
+// shared zero-scratch buffer that aliased across call sites; the
+// descriptor form drops the buffer entirely — Hosts stays nil, the size
+// rides on Dst.Bytes — and interleaved calls of different sizes and
+// roots must each price exactly like their functional twins.
 func TestClusterCostOnlyNilHostPayloads(t *testing.T) {
-	const H, P = 3, 16
-	costCl := testCluster(t, H, geoHost, []int{P}, true)
-	funcCl := testCluster(t, H, geoHost, []int{P}, false)
-
+	const P = 16
 	type call struct {
 		name string
-		d    ClusterCollective
-		n    int // payload bytes the functional twin needs
+		d    Collective
+		root int
+		n    int // Broadcast/Scatter payload bytes the functional twin needs
 	}
-	calls := []call{
-		{"bcast128", ClusterCollective{Collective: Collective{
-			Prim: Broadcast, Dims: "1", Dst: Span(0, 128), Level: IM}, Root: 1}, 128},
-		{"scatter32", ClusterCollective{Collective: Collective{
-			Prim: Scatter, Dims: "1", Dst: Span(512, 32), Level: IM}}, H * P * 32},
-		{"bcast256", ClusterCollective{Collective: Collective{
-			Prim: Broadcast, Dims: "1", Dst: Span(1024, 256), Level: IM}, Root: 2}, 256},
+	every := func(H int) []call {
+		m := 8 * H * P // one 8-byte block per global rank
+		return []call{
+			{"AllReduce", Collective{Prim: AllReduce, Dims: "1", Src: Span(0, m), Dst: At(2 * m),
+				Elem: elem.I32, Op: elem.Sum, Level: CM}, 0, 0},
+			{"ReduceScatter", Collective{Prim: ReduceScatter, Dims: "1", Src: Span(0, m), Dst: At(2 * m),
+				Elem: elem.I32, Op: elem.Sum, Level: IM}, 0, 0},
+			{"AllGather", Collective{Prim: AllGather, Dims: "1", Src: Span(0, 8), Dst: At(2 * m), Level: IM}, 0, 0},
+			{"AlltoAll", Collective{Prim: AlltoAll, Dims: "1", Src: Span(0, m), Dst: At(2 * m), Level: CM}, 0, 0},
+			{"Broadcast", Collective{Prim: Broadcast, Dims: "1", Dst: Span(0, m), Level: Baseline}, 0, m},
+			{"Scatter", Collective{Prim: Scatter, Dims: "1", Dst: Span(0, 8), Level: IM}, 0, H * P * 8},
+			{"Gather", Collective{Prim: Gather, Dims: "1", Src: Span(0, 8), Level: IM}, 0, 0},
+			{"Reduce", Collective{Prim: Reduce, Dims: "1", Src: Span(0, m),
+				Elem: elem.I32, Op: elem.Sum, Level: IM}, 0, 0},
+		}
 	}
-	for _, c := range calls {
-		got, err := costCl.Run(c.d)
+	interleaved := []call{
+		{"bcast128", Collective{Prim: Broadcast, Dims: "1", Dst: Span(0, 128), Level: IM}, 1, 128},
+		{"scatter32", Collective{Prim: Scatter, Dims: "1", Dst: Span(512, 32), Level: IM}, 0, 3 * P * 32},
+		{"bcast256", Collective{Prim: Broadcast, Dims: "1", Dst: Span(1024, 256), Level: IM}, 2, 256},
+	}
+	for _, tc := range []struct {
+		H     int
+		calls []call
+	}{{1, every(1)}, {2, every(2)}, {3, interleaved}} {
+		costCl := testCluster(t, tc.H, geoHost, []int{P}, true)
+		funcCl := testCluster(t, tc.H, geoHost, []int{P}, false)
+		if costCl.Functional() {
+			t.Error("cost-only cluster claims to be functional")
+		}
+		for _, c := range tc.calls {
+			t.Run(fmt.Sprintf("H=%d/%s", tc.H, c.name), func(t *testing.T) {
+				d := ClusterCollective{Collective: c.d, Root: c.root}
+				got, err := costCl.Run(d)
+				if err != nil {
+					t.Fatalf("cost-only: %v", err)
+				}
+				if c.n > 0 {
+					d.Hosts = [][]byte{make([]byte, c.n)}
+				}
+				want, err := funcCl.Run(d)
+				if err != nil {
+					t.Fatalf("functional: %v", err)
+				}
+				if want != got {
+					t.Errorf("cost-only breakdown %+v != functional %+v", got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestClusterFigure23bTrends pins the shapes of Figure 23(b) (§ IX-A)
+// at sizes where bandwidth, not latency or launch overhead, dominates
+// (128 PEs per host, as in the paper's bus-share-per-PE regime). Cost
+// is backend-independent (TestClusterCostOnlyNilHostPayloads), so the
+// clusters are cost-only.
+func TestClusterFigure23bTrends(t *testing.T) {
+	const P = 128
+	geo := dram.Geometry{Channels: 1, RanksPerChannel: 2, BanksPerChip: 8, MramPerBank: 1 << 19}
+	run := func(H int, prim Primitive, lvl Level) cost.Breakdown {
+		t.Helper()
+		cl := testCluster(t, H, geo, []int{P}, true)
+		d := Collective{Prim: prim, Dims: "1", Src: Span(0, H*P*512), Dst: At(2 * H * P * 512),
+			Elem: elem.I32, Op: elem.Sum, Level: lvl}
+		if prim == AllReduce {
+			d.Src, d.Dst = Span(0, P*1024), At(2*P*1024)
+		}
+		bd, err := cl.Run(ClusterCollective{Collective: d})
 		if err != nil {
-			t.Fatalf("%s cost-only: %v", c.name, err)
+			t.Fatal(err)
 		}
-		fd := c.d
-		fd.Hosts = [][]byte{make([]byte, c.n)}
-		want, err := funcCl.Run(fd)
-		if err != nil {
-			t.Fatalf("%s functional: %v", c.name, err)
-		}
-		if want != got {
-			t.Errorf("%s: cost-only breakdown %+v != functional %+v", c.name, got, want)
+		return bd
+	}
+	net := func(bd cost.Breakdown) float64 { return float64(bd.Get(cost.Network)) }
+	share := func(bd cost.Breakdown) float64 { return net(bd) / float64(bd.Total()) }
+	ar1, ar2, ar4 := run(1, AllReduce, CM), run(2, AllReduce, CM), run(4, AllReduce, CM)
+	aa2, aaBase2 := run(2, AlltoAll, CM), run(2, AlltoAll, Baseline)
+	rs2 := run(2, ReduceScatter, IM)
+	for _, tr := range []struct {
+		name string
+		ok   bool
+		a, b float64
+	}{
+		{"a single host charges no network time", net(ar1) == 0, net(ar1), 0},
+		{"AllReduce network time grows with hosts (4 vs 2)", net(ar4) > net(ar2), net(ar4), net(ar2)},
+		{"AlltoAll's network share exceeds AllReduce's", share(aa2) > share(ar2), share(aa2), share(ar2)},
+		{"ReduceScatter sends less than AlltoAll (data cross after reduction)", net(rs2) < net(aa2), net(rs2), net(aa2)},
+		{"CM AlltoAll beats Baseline", aa2.Total() < aaBase2.Total(), float64(aa2.Total()), float64(aaBase2.Total())},
+	} {
+		if !tr.ok {
+			t.Errorf("%s: %g vs %g", tr.name, tr.a, tr.b)
 		}
 	}
-	if costCl.Functional() {
-		t.Error("cost-only cluster claims to be functional")
+}
+
+// The cluster breakdown is the per-category maximum across hosts, so a
+// cluster where only host 0 worked reports exactly host 0's meter.
+func TestClusterBreakdownIsBusiestHost(t *testing.T) {
+	const P = 16
+	cl := testCluster(t, 2, geoHost, []int{P}, false)
+	m := 8 * P
+	in := randGlobal(P, m, 1)
+	for p, data := range in {
+		cl.Host(0).SetPEBuffer(p, 0, data)
+	}
+	if _, err := cl.Host(0).Run(Collective{Prim: AlltoAll, Dims: "1",
+		Src: Span(0, m), Dst: At(2 * m), Level: CM}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cl.Breakdown(), cl.Host(0).Meter().Snapshot(); got != want || want.Total() <= 0 {
+		t.Errorf("cluster breakdown %+v, busiest host's meter %+v", got, want)
 	}
 }
 
@@ -499,40 +601,33 @@ func TestClusterValidation(t *testing.T) {
 	}
 
 	cl := testCluster(t, 2, geoHost, []int{4, 4}, false)
-	ar := ClusterCollective{Collective: Collective{
-		Prim: AllReduce, Dims: "10", Src: Span(0, 16), Dst: At(64),
-		Elem: elem.I32, Op: elem.Sum, Level: IM,
-	}}
-	if _, err := cl.Run(ar); err == nil {
-		t.Error("partial-host Dims accepted for a cluster collective")
-	}
-	bad := ClusterCollective{Collective: Collective{
-		Prim: Gather, Dims: "11", Src: Span(0, 16), Level: IM,
-	}, Root: 2}
-	if _, err := cl.Run(bad); err == nil {
-		t.Error("out-of-range root accepted")
-	}
-	bad.Root = -1
-	if _, err := cl.Run(bad); err == nil {
-		t.Error("negative root accepted")
-	}
-	flatAA := ClusterCollective{Collective: Collective{
-		Prim: AlltoAll, Dims: "11", Src: Span(0, 2*16*8), Dst: At(1024), Level: IM,
-	}, Flat: true}
-	if _, err := cl.Run(flatAA); err == nil {
-		t.Error("Flat lowering accepted for a non-AllReduce primitive")
-	}
-	noPayload := ClusterCollective{Collective: Collective{
-		Prim: Broadcast, Dims: "11", Dst: Span(0, 64), Level: IM,
-	}}
-	if _, err := cl.Run(noPayload); err == nil {
-		t.Error("functional cluster Broadcast without a payload accepted")
-	}
-	shortScatter := ClusterCollective{Collective: Collective{
-		Prim: Scatter, Dims: "11", Dst: Span(0, 8), Level: IM,
-		Hosts: [][]byte{make([]byte, 3)},
-	}}
-	if _, err := cl.Run(shortScatter); err == nil {
-		t.Error("undersized Scatter payload accepted")
+	for _, tc := range []struct {
+		name string
+		d    ClusterCollective
+	}{
+		{"partial-host Dims", ClusterCollective{Collective: Collective{
+			Prim: AllReduce, Dims: "10", Src: Span(0, 16), Dst: At(64),
+			Elem: elem.I32, Op: elem.Sum, Level: IM}}},
+		{"out-of-range Gather root", ClusterCollective{Collective: Collective{
+			Prim: Gather, Dims: "11", Src: Span(0, 16), Level: IM}, Root: 2}},
+		{"negative Gather root", ClusterCollective{Collective: Collective{
+			Prim: Gather, Dims: "11", Src: Span(0, 16), Level: IM}, Root: -1}},
+		{"out-of-range Broadcast root", ClusterCollective{Collective: Collective{
+			Prim: Broadcast, Dims: "11", Dst: Span(0, 8), Level: IM,
+			Hosts: [][]byte{make([]byte, 8)}}, Root: 5}},
+		{"Flat lowering for a non-AllReduce primitive", ClusterCollective{Collective: Collective{
+			Prim: AlltoAll, Dims: "11", Src: Span(0, 2*16*8), Dst: At(1024), Level: IM}, Flat: true}},
+		{"functional Broadcast without a payload", ClusterCollective{Collective: Collective{
+			Prim: Broadcast, Dims: "11", Dst: Span(0, 64), Level: IM}}},
+		{"undersized Scatter payload", ClusterCollective{Collective: Collective{
+			Prim: Scatter, Dims: "11", Dst: Span(0, 8), Level: IM,
+			Hosts: [][]byte{make([]byte, 3)}}}},
+		{"oversized Scatter payload", ClusterCollective{Collective: Collective{
+			Prim: Scatter, Dims: "11", Dst: Span(0, 8), Level: IM,
+			Hosts: [][]byte{make([]byte, 2*16*8+8)}}}},
+	} {
+		if _, err := cl.Run(tc.d); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }

@@ -11,11 +11,9 @@ import (
 // This file implements the descriptor-based collective API: one
 // Collective struct describes any of the eight primitives, and exactly
 // three entry points consume it — Compile (plan once), Run (one-shot)
-// and Submit (asynchronous). The 24 positional-argument methods
-// (AlltoAll/CompileAlltoAll/SubmitAlltoAll, ...) are thin shims that
-// build a Collective and call these entry points, so every execution
-// path — one-shot, compiled replay, async, tenant-scoped — funnels
-// through the same normalization and validation.
+// and Submit (asynchronous) — so every execution path — one-shot,
+// compiled replay, async, tenant-scoped — funnels through the same
+// normalization and validation.
 //
 // All offsets in a Collective are relative to the arena the call is
 // resolved against: the whole per-PE MRAM for a plain Comm, or the
@@ -204,7 +202,7 @@ func (c *Comm) AutoResolveOf(d Collective) (Algorithm, Level, error) {
 
 // compileIn resolves d against the arena and compiles it; owner is the
 // tenant the resulting plan is charged to (nil for a plain Comm). The
-// single funnel behind Compile/Run/Submit and their positional shims.
+// single funnel behind Compile/Run/Submit.
 func (c *Comm) compileIn(ar arena, owner *Tenant, d Collective) (*CompiledPlan, error) {
 	spec, err := c.specIn(ar, d)
 	if err != nil {

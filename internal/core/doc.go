@@ -20,9 +20,9 @@
 // (collective.go): primitive, dims bitmap, arena-relative Region
 // handles, element type/operator, level (zero value = Auto) and host
 // payloads. Exactly three entry points consume it — Compile, Run,
-// Submit — and the positional-argument methods (AlltoAll,
-// CompileAlltoAll, SubmitAlltoAll, ...) are thin shims over the same
-// funnel, so every path shares one normalization and validation.
+// Submit — so every path (one-shot, compiled replay, async,
+// tenant-scoped, and the per-host plans of a ClusterCollective) shares
+// one normalization and validation.
 //
 // # Pipeline
 //

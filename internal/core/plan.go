@@ -512,84 +512,3 @@ func checkInPlace(prim Primitive, eff Level, inPlace bool) error {
 	}
 	return nil
 }
-
-// ---------------------------------------------------------------------
-// Positional compile shims (one per primitive): each builds a Collective
-// descriptor and funnels into Comm.Compile. All of them are deprecated —
-// new code should build the Collective descriptor directly; they remain
-// only so the paper-figure harness reads like the original library. The
-// last internal layer that used them (internal/multihost) now goes
-// through descriptors via the cluster layer.
-// ---------------------------------------------------------------------
-
-// CompileAlltoAll compiles an AlltoAll call (see Comm.AlltoAll for the
-// call semantics). srcOff == dstOff compiles an in-place AlltoAll, which
-// only the staged levels (Baseline/PR) support.
-//
-// Deprecated: build a Collective descriptor and call Comm.Compile.
-func (c *Comm) CompileAlltoAll(dims string, srcOff, dstOff, bytesPerPE int, lvl Level) (*CompiledPlan, error) {
-	return c.Compile(Collective{Prim: AlltoAll, Dims: dims,
-		Src: Span(srcOff, bytesPerPE), Dst: At(dstOff), Level: lvl})
-}
-
-// CompileReduceScatter compiles a ReduceScatter call.
-//
-// Deprecated: build a Collective descriptor and call Comm.Compile.
-func (c *Comm) CompileReduceScatter(dims string, srcOff, dstOff, bytesPerPE int, t elem.Type, op elem.Op, lvl Level) (*CompiledPlan, error) {
-	return c.Compile(Collective{Prim: ReduceScatter, Dims: dims,
-		Src: Span(srcOff, bytesPerPE), Dst: At(dstOff), Elem: t, Op: op, Level: lvl})
-}
-
-// CompileAllReduce compiles an AllReduce call.
-//
-// Deprecated: build a Collective descriptor and call Comm.Compile.
-func (c *Comm) CompileAllReduce(dims string, srcOff, dstOff, bytesPerPE int, t elem.Type, op elem.Op, lvl Level) (*CompiledPlan, error) {
-	return c.Compile(Collective{Prim: AllReduce, Dims: dims,
-		Src: Span(srcOff, bytesPerPE), Dst: At(dstOff), Elem: t, Op: op, Level: lvl})
-}
-
-// CompileAllGather compiles an AllGather call.
-//
-// Deprecated: build a Collective descriptor and call Comm.Compile.
-func (c *Comm) CompileAllGather(dims string, srcOff, dstOff, bytesPerPE int, lvl Level) (*CompiledPlan, error) {
-	return c.Compile(Collective{Prim: AllGather, Dims: dims,
-		Src: Span(srcOff, bytesPerPE), Dst: At(dstOff), Level: lvl})
-}
-
-// CompileGather compiles a rooted Gather; each Run leaves the per-group
-// results in Results.
-//
-// Deprecated: build a Collective descriptor and call Comm.Compile.
-func (c *Comm) CompileGather(dims string, srcOff, bytesPerPE int, lvl Level) (*CompiledPlan, error) {
-	return c.Compile(Collective{Prim: Gather, Dims: dims,
-		Src: Span(srcOff, bytesPerPE), Level: lvl})
-}
-
-// CompileReduce compiles a rooted Reduce; each Run leaves the per-group
-// results in Results.
-//
-// Deprecated: build a Collective descriptor and call Comm.Compile.
-func (c *Comm) CompileReduce(dims string, srcOff, bytesPerPE int, t elem.Type, op elem.Op, lvl Level) (*CompiledPlan, error) {
-	return c.Compile(Collective{Prim: Reduce, Dims: dims,
-		Src: Span(srcOff, bytesPerPE), Elem: t, Op: op, Level: lvl})
-}
-
-// CompileScatter compiles a Scatter call bound to bufs: each Run reads
-// the buffers' current contents, so iterative callers refill the same
-// slices between runs. On a cost-only backend bufs may be nil.
-//
-// Deprecated: build a Collective descriptor and call Comm.Compile.
-func (c *Comm) CompileScatter(dims string, bufs [][]byte, dstOff, bytesPerPE int, lvl Level) (*CompiledPlan, error) {
-	return c.Compile(Collective{Prim: Scatter, Dims: dims,
-		Hosts: bufs, Dst: Span(dstOff, bytesPerPE), Level: lvl})
-}
-
-// CompileBroadcast compiles a Broadcast call bound to bufs (one payload
-// per communication group): each Run reads the buffers' current
-// contents.
-//
-// Deprecated: build a Collective descriptor and call Comm.Compile.
-func (c *Comm) CompileBroadcast(dims string, bufs [][]byte, dstOff int, lvl Level) (*CompiledPlan, error) {
-	return c.Compile(Collective{Prim: Broadcast, Dims: dims,
-		Hosts: bufs, Dst: At(dstOff), Level: lvl})
-}

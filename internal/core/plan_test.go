@@ -13,7 +13,7 @@ import (
 
 // TestCompiledReplayMatchesOneShot pins the plan/execute split's core
 // guarantee on both backends: a cached CompiledPlan replay produces cost
-// breakdowns byte-identical to the one-shot collective path, call by
+// breakdowns byte-identical to the one-shot Comm.Run path, call by
 // call, and (functionally) moves the same bytes.
 func TestCompiledReplayMatchesOneShot(t *testing.T) {
 	for _, costOnly := range []bool{false, true} {
@@ -36,18 +36,17 @@ func TestCompiledReplayMatchesOneShot(t *testing.T) {
 			}
 			m := p.n * s
 
-			// Compile once on c2; c1 uses the one-shot entry points.
-			aa, err := c2.CompileAlltoAll("10", 0, 2*m, m, CM)
-			if err != nil {
-				t.Fatal(err)
+			// Compile once on c2; c1 runs each descriptor with Comm.Run.
+			ds := []Collective{
+				{Prim: AlltoAll, Dims: "10", Src: Span(0, m), Dst: At(2 * m), Level: CM},
+				{Prim: ReduceScatter, Dims: "10", Src: Span(4*m, m), Dst: At(6 * m), Elem: elem.I32, Op: elem.Sum, Level: IM},
+				{Prim: Gather, Dims: "10", Src: Span(0, s), Level: IM},
 			}
-			rs, err := c2.CompileReduceScatter("10", 4*m, 6*m, m, elem.I32, elem.Sum, IM)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ga, err := c2.CompileGather("10", 0, s, IM)
-			if err != nil {
-				t.Fatal(err)
+			plans := make([]*CompiledPlan, len(ds))
+			for i, d := range ds {
+				if plans[i], err = c2.Compile(d); err != nil {
+					t.Fatal(err)
+				}
 			}
 			for iter := 0; iter < 3; iter++ {
 				seed := int64(100 + iter)
@@ -57,44 +56,31 @@ func TestCompiledReplayMatchesOneShot(t *testing.T) {
 					fillSrcComm(c1, 4*m, m, seed+1)
 					fillSrcComm(c2, 4*m, m, seed+1)
 				}
-				bd1, err := c1.AlltoAll("10", 0, 2*m, m, CM)
-				if err != nil {
-					t.Fatal(err)
-				}
-				bd2, err := aa.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d := diffBreakdowns(bd1, bd2); d != "" {
-					t.Fatalf("iter %d AlltoAll: one-shot vs replay: %s", iter, d)
-				}
-				bd1, err = c1.ReduceScatter("10", 4*m, 6*m, m, elem.I32, elem.Sum, IM)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if bd2, err = rs.Run(); err != nil {
-					t.Fatal(err)
-				}
-				if d := diffBreakdowns(bd1, bd2); d != "" {
-					t.Fatalf("iter %d ReduceScatter: one-shot vs replay: %s", iter, d)
-				}
-				out1, bd1, err := c1.Gather("10", 0, s, IM)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if bd2, err = ga.Run(); err != nil {
-					t.Fatal(err)
-				}
-				if d := diffBreakdowns(bd1, bd2); d != "" {
-					t.Fatalf("iter %d Gather: one-shot vs replay: %s", iter, d)
-				}
-				out2 := ga.Results()
-				if len(out1) != len(out2) {
-					t.Fatalf("iter %d Gather: %d vs %d result groups", iter, len(out1), len(out2))
-				}
-				for g := range out1 {
-					if !bytes.Equal(out1[g], out2[g]) {
-						t.Fatalf("iter %d Gather: group %d results differ", iter, g)
+				for i, d := range ds {
+					bd1, err := c1.Run(d)
+					if err != nil {
+						t.Fatal(err)
+					}
+					bd2, err := plans[i].Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if diff := diffBreakdowns(bd1, bd2); diff != "" {
+						t.Fatalf("iter %d %v: Run vs replay: %s", iter, d.Prim, diff)
+					}
+					// Run left its results on c1's cached plan.
+					cp1, err := c1.Compile(d)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out1, out2 := cp1.Results(), plans[i].Results()
+					if len(out1) != len(out2) {
+						t.Fatalf("iter %d %v: %d vs %d result groups", iter, d.Prim, len(out1), len(out2))
+					}
+					for g := range out1 {
+						if !bytes.Equal(out1[g], out2[g]) {
+							t.Fatalf("iter %d %v: group %d results differ", iter, d.Prim, g)
+						}
 					}
 				}
 			}
@@ -134,7 +120,8 @@ func TestCompiledScatterRereadsBuffers(t *testing.T) {
 	for g := range bufs {
 		bufs[g] = make([]byte, p.n*s)
 	}
-	cp, err := c.CompileScatter("10", bufs, 0, s, IM)
+	cp, err := c.Compile(Collective{Prim: Scatter, Dims: "10",
+		Hosts: bufs, Dst: Span(0, s), Level: IM})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +133,8 @@ func TestCompiledScatterRereadsBuffers(t *testing.T) {
 		if _, err := cp.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ref.Scatter("10", bufs, 0, s, IM); err != nil {
+		if _, err := ref.Run(Collective{Prim: Scatter, Dims: "10",
+			Hosts: bufs, Dst: Span(0, s), Level: IM}); err != nil {
 			t.Fatal(err)
 		}
 		for pe := 0; pe < 64; pe++ {
@@ -162,11 +150,13 @@ func TestCompiledScatterRereadsBuffers(t *testing.T) {
 func TestPlanCacheAndCostPreview(t *testing.T) {
 	c := costSystem(t, geo64, []int{8, 8})
 	m := 8 * 16
-	cp1, err := c.CompileAlltoAll("10", 0, 2*m, m, CM)
+	cp1, err := c.Compile(Collective{Prim: AlltoAll, Dims: "10",
+		Src: Span(0, m), Dst: At(2 * m), Level: CM})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp2, err := c.CompileAlltoAll("10", 0, 2*m, m, CM)
+	cp2, err := c.Compile(Collective{Prim: AlltoAll, Dims: "10",
+		Src: Span(0, m), Dst: At(2 * m), Level: CM})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +165,13 @@ func TestPlanCacheAndCostPreview(t *testing.T) {
 	}
 	// Requesting a level that degrades to the same effective level shares
 	// the plan too.
-	if cp3, _ := c.CompileAlltoAll("10", 0, 2*m, m, CM); cp3 != cp1 {
+	if cp3, _ := c.Compile(Collective{Prim: AlltoAll, Dims: "10",
+		Src: Span(0, m), Dst: At(2 * m), Level: CM}); cp3 != cp1 {
 		t.Error("effective-level alias missed the cache")
 	}
 	c.ClearPlanCache()
-	cp4, err := c.CompileAlltoAll("10", 0, 2*m, m, CM)
+	cp4, err := c.Compile(Collective{Prim: AlltoAll, Dims: "10",
+		Src: Span(0, m), Dst: At(2 * m), Level: CM})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +200,8 @@ func TestInPlaceAlltoAll(t *testing.T) {
 		p, _ := c.plan("10")
 		m := p.n * s
 		in := fillSrc(c, 0, m, 91)
-		if _, err := c.AlltoAll("10", 0, 0, m, lvl); err != nil {
+		if _, err := c.Run(Collective{Prim: AlltoAll, Dims: "10",
+			Src: Span(0, m), Dst: At(0), Level: lvl}); err != nil {
 			t.Fatalf("%v in-place: %v", lvl, err)
 		}
 		for _, grp := range p.groups {
@@ -223,11 +216,13 @@ func TestInPlaceAlltoAll(t *testing.T) {
 	c := testSystem(t, geo64, []int{8, 8})
 	m := 8 * s
 	for _, lvl := range []Level{IM, CM} {
-		if _, err := c.AlltoAll("10", 0, 0, m, lvl); err == nil {
+		if _, err := c.Run(Collective{Prim: AlltoAll, Dims: "10",
+			Src: Span(0, m), Dst: At(0), Level: lvl}); err == nil {
 			t.Errorf("%v accepted an in-place AlltoAll", lvl)
 		}
 	}
-	if _, err := c.AlltoAll("10", 0, m/2, m, Baseline); err == nil {
+	if _, err := c.Run(Collective{Prim: AlltoAll, Dims: "10",
+		Src: Span(0, m), Dst: At(m / 2), Level: Baseline}); err == nil {
 		t.Error("partially overlapping regions accepted")
 	}
 }
@@ -241,7 +236,8 @@ func TestAutoLevelSkipsInapplicableLevels(t *testing.T) {
 	p, _ := c.plan("10")
 	m := p.n * 16
 	in := fillSrc(c, 0, m, 47)
-	if _, err := c.AlltoAll("10", 0, 0, m, Auto); err != nil {
+	if _, err := c.Run(Collective{Prim: AlltoAll, Dims: "10",
+		Src: Span(0, m), Dst: At(0), Level: Auto}); err != nil {
 		t.Fatalf("Auto in-place AlltoAll aborted: %v", err)
 	}
 	picked, ok := c.autoCache[autoKey{prim: AlltoAll, dims: "10", bytes: m, inPlace: true}]
@@ -319,7 +315,7 @@ func TestConcurrentCollectives(t *testing.T) {
 
 	// Slab 0 is reserved for the shared Gather plan's source data.
 	sharedIn := fillSrc(c, 0, 32, 5)
-	gatherPlan, err := c.CompileGather("10", 0, 32, IM)
+	gatherPlan, err := c.Compile(Collective{Prim: Gather, Dims: "10", Src: Span(0, 32), Level: IM})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +331,8 @@ func TestConcurrentCollectives(t *testing.T) {
 			m := n * s // 256
 			for iter := 0; iter < iters; iter++ {
 				in := fillSrc(c, base, m, int64(g*100+iter))
-				if _, err := c.AlltoAll("10", base, base+m, m, Auto); err != nil {
+				if _, err := c.Run(Collective{Prim: AlltoAll, Dims: "10",
+					Src: Span(base, m), Dst: At(base + m), Level: Auto}); err != nil {
 					errs <- err
 					return
 				}
@@ -349,7 +346,9 @@ func TestConcurrentCollectives(t *testing.T) {
 					}
 				}
 				in = fillSrc(c, base+2*m, m, int64(g*200+iter))
-				if _, err := c.ReduceScatter("10", base+2*m, base+3*m, m, elem.I32, elem.Sum, IM); err != nil {
+				if _, err := c.Run(Collective{Prim: ReduceScatter, Dims: "10",
+					Src: Span(base+2*m, m), Dst: At(base + 3*m),
+					Elem: elem.I32, Op: elem.Sum, Level: IM}); err != nil {
 					errs <- err
 					return
 				}

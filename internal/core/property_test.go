@@ -22,10 +22,12 @@ func TestAlltoAllInvolution(t *testing.T) {
 		p, _ := c.plan("10")
 		m := p.n * 24
 		in := fillSrc(c, 0, m, 55)
-		if _, err := c.AlltoAll("10", 0, 2*m, m, lvl); err != nil {
+		if _, err := c.Run(Collective{Prim: AlltoAll, Dims: "10",
+			Src: Span(0, m), Dst: At(2 * m), Level: lvl}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.AlltoAll("10", 2*m, 4*m, m, lvl); err != nil {
+		if _, err := c.Run(Collective{Prim: AlltoAll, Dims: "10",
+			Src: Span(2*m, m), Dst: At(4 * m), Level: lvl}); err != nil {
 			t.Fatal(err)
 		}
 		for pe := 0; pe < 64; pe++ {
@@ -47,10 +49,11 @@ func TestBroadcastGatherRoundTrip(t *testing.T) {
 		bufs[g] = make([]byte, s)
 		rng.Read(bufs[g])
 	}
-	if _, err := c.Broadcast("01", bufs, 0, CM); err != nil {
+	if _, err := c.Run(Collective{Prim: Broadcast, Dims: "01",
+		Hosts: bufs, Dst: At(0), Level: CM}); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := c.Gather("01", 0, s, IM)
+	got, _, err := runRooted(c, Collective{Prim: Gather, Dims: "01", Src: Span(0, s), Level: IM})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +73,13 @@ func TestReduceEqualsFoldedGather(t *testing.T) {
 	s := 8
 	m := p.n * s
 	fillSrc(c, 0, m, 71)
-	gathered, _, err := c.Gather("101", 0, m, IM)
+	gathered, _, err := runRooted(c, Collective{Prim: Gather, Dims: "101",
+		Src: Span(0, m), Level: IM})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reduced, _, err := c.Reduce("101", 0, m, elem.I32, elem.Sum, IM)
+	reduced, _, err := runRooted(c, Collective{Prim: Reduce, Dims: "101",
+		Src: Span(0, m), Elem: elem.I32, Op: elem.Sum, Level: IM})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,17 +107,20 @@ func TestAllReduceEqualsRSThenAG(t *testing.T) {
 	s := 16
 	m := n * s
 	in := fillSrc(c1, 0, m, 88)
-	if _, err := c1.AllReduce("01", 0, 2*m, m, elem.I32, elem.Sum, IM); err != nil {
+	if _, err := c1.Run(Collective{Prim: AllReduce, Dims: "01",
+		Src: Span(0, m), Dst: At(2 * m), Elem: elem.I32, Op: elem.Sum, Level: IM}); err != nil {
 		t.Fatal(err)
 	}
 	c2, _ := mk()
 	for pe := range in {
 		c2.SetPEBuffer(pe, 0, in[pe])
 	}
-	if _, err := c2.ReduceScatter("01", 0, 2*m, m, elem.I32, elem.Sum, IM); err != nil {
+	if _, err := c2.Run(Collective{Prim: ReduceScatter, Dims: "01",
+		Src: Span(0, m), Dst: At(2 * m), Elem: elem.I32, Op: elem.Sum, Level: IM}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c2.AllGather("01", 2*m, 4*m, s, IM); err != nil {
+	if _, err := c2.Run(Collective{Prim: AllGather, Dims: "01",
+		Src: Span(2*m, s), Dst: At(4 * m), Level: IM}); err != nil {
 		t.Fatal(err)
 	}
 	for pe := 0; pe < 64; pe++ {
@@ -146,7 +154,8 @@ func TestAlltoAllQuickProperty(t *testing.T) {
 		s := 8 * (1 + int(sizePick)%3)
 		m := p.n * s
 		in := fillSrc(c, 0, m, seed)
-		if _, err := c.AlltoAll(dims, 0, 2*m, m, lvl); err != nil {
+		if _, err := c.Run(Collective{Prim: AlltoAll, Dims: dims,
+			Src: Span(0, m), Dst: At(2 * m), Level: lvl}); err != nil {
 			return false
 		}
 		for _, grp := range p.groups {
@@ -176,7 +185,8 @@ func TestReduceScatterQuickProperty(t *testing.T) {
 		s := 16
 		m := p.n * s
 		in := fillSrc(c, 0, m, seed)
-		if _, err := c.ReduceScatter("10", 0, 2*m, m, typ, op, lvl); err != nil {
+		if _, err := c.Run(Collective{Prim: ReduceScatter, Dims: "10",
+			Src: Span(0, m), Dst: At(2 * m), Elem: typ, Op: op, Level: lvl}); err != nil {
 			return false
 		}
 		for _, grp := range p.groups {
@@ -206,10 +216,12 @@ func TestAlternatingDimsComposition(t *testing.T) {
 	in := fillSrc(c, 0, m, 13)
 
 	// RS along x, then AG along y on the results.
-	if _, err := c.ReduceScatter("10", 0, 2*m, m, elem.I32, elem.Sum, IM); err != nil {
+	if _, err := c.Run(Collective{Prim: ReduceScatter, Dims: "10",
+		Src: Span(0, m), Dst: At(2 * m), Elem: elem.I32, Op: elem.Sum, Level: IM}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.AllGather("01", 2*m, 4*m, s, IM); err != nil {
+	if _, err := c.Run(Collective{Prim: AllGather, Dims: "01",
+		Src: Span(2*m, s), Dst: At(4 * m), Level: IM}); err != nil {
 		t.Fatal(err)
 	}
 	// Expected: per x-group RS result, then per y-group concatenation.
@@ -247,7 +259,8 @@ func TestDSAOffloadSpeedsUpWithoutChangingResults(t *testing.T) {
 		c := NewComm(hc, params)
 		m := 16 * 1024
 		fillSrcComm(c, 0, m, 3)
-		bd, err := c.ReduceScatter("10", 0, 2*m, m, elem.I32, elem.Sum, IM)
+		bd, err := c.Run(Collective{Prim: ReduceScatter, Dims: "10",
+			Src: Span(0, m), Dst: At(2 * m), Elem: elem.I32, Op: elem.Sum, Level: IM})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,7 +341,8 @@ func TestAutoSentinelMatchesFixedLevel(t *testing.T) {
 	c := testSystem(t, geo64, []int{8, 8})
 	m := 8 * 32
 	in := fillSrc(c, 0, m, 31)
-	if _, err := c.AlltoAll("10", 0, 2*m, m, Auto); err != nil {
+	if _, err := c.Run(Collective{Prim: AlltoAll, Dims: "10",
+		Src: Span(0, m), Dst: At(2 * m), Level: Auto}); err != nil {
 		t.Fatal(err)
 	}
 	picked, err := c.AutoLevel(AlltoAll, "10", m, 0, 0)
@@ -339,7 +353,8 @@ func TestAutoSentinelMatchesFixedLevel(t *testing.T) {
 	for pe, b := range in {
 		ref.SetPEBuffer(pe, 0, b)
 	}
-	if _, err := ref.AlltoAll("10", 0, 2*m, m, picked); err != nil {
+	if _, err := ref.Run(Collective{Prim: AlltoAll, Dims: "10",
+		Src: Span(0, m), Dst: At(2 * m), Level: picked}); err != nil {
 		t.Fatal(err)
 	}
 	for pe := 0; pe < 64; pe++ {

@@ -54,9 +54,10 @@ func (tp Topology) String() string {
 //     2*ceil(log2 n) synchronized passes.
 func (c *Comm) AllReduceTopo(topo Topology, dims string, srcOff, dstOff, bytesPerPE int, t elem.Type, op elem.Op) (cost.Breakdown, error) {
 	if topo == TopoHypercube {
-		return c.AllReduce(dims, srcOff, dstOff, bytesPerPE, t, op, CM)
+		return c.Run(Collective{Prim: AllReduce, Dims: dims, Src: Span(srcOff, bytesPerPE),
+			Dst: At(dstOff), Elem: t, Op: op, Level: CM})
 	}
-	p, s, err := c.prepBlocks(dims, srcOff, dstOff, bytesPerPE, false)
+	p, s, err := c.prepBlocks(dims, srcOff, dstOff, bytesPerPE)
 	if err != nil {
 		return cost.Breakdown{}, fmt.Errorf("AllReduceTopo(%v): %w", topo, err)
 	}
@@ -153,4 +154,27 @@ func (c *Comm) AllReduceTopo(topo Topology, dims string, srcOff, dstOff, bytesPe
 	// elapsed-time timeline coherent by appending their cost serially.
 	c.placeSerialLocked(bd.Segments())
 	return bd, nil
+}
+
+// prepBlocks validates a block-structured collective's arguments.
+func (c *Comm) prepBlocks(dims string, srcOff, dstOff, bytesPerPE int) (*plan, int, error) {
+	p, err := c.plan(dims)
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := c.checkRegion(srcOff, bytesPerPE); err != nil {
+		return nil, 0, err
+	}
+	if err := c.checkRegion(dstOff, bytesPerPE); err != nil {
+		return nil, 0, err
+	}
+	if overlap(srcOff, bytesPerPE, dstOff, bytesPerPE) {
+		return nil, 0, fmt.Errorf("core: src [%d,%d) and dst [%d,%d) overlap",
+			srcOff, srcOff+bytesPerPE, dstOff, dstOff+bytesPerPE)
+	}
+	s, err := blockSize(bytesPerPE, p.n)
+	if err != nil {
+		return nil, 0, err
+	}
+	return p, s, nil
 }

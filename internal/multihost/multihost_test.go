@@ -1,3 +1,10 @@
+// Package multihost holds the end-to-end tests of the hierarchical
+// multi-host collectives of § IX-A (Figure 23(b)): several hosts, each
+// driving its own PIM subsystem as a 1-D hypercube over all its PEs,
+// cooperate over an MPI-like network, and every cluster collective
+// spans the H×P PEs of the whole cluster. The cluster itself is
+// core.Cluster (public surface: pidcomm.NewCluster); this directory
+// contains tests only.
 package multihost
 
 import (
@@ -14,20 +21,53 @@ import (
 
 var testGeo = dram.Geometry{Channels: 1, RanksPerChannel: 1, BanksPerChip: 2, MramPerBank: 1 << 14} // 16 PEs/host
 
-func newCluster(t *testing.T, hosts int) *Cluster {
+// dims selects the single dimension of each host's 1-D hypercube, so
+// every cluster collective spans the whole host.
+const dims = "1"
+
+// build joins hosts identical hosts of the given geometry, each a 1-D
+// hypercube over its PEs, into a cluster with the default parameters.
+func build(t *testing.T, hosts int, geo dram.Geometry, costOnly bool) *core.Cluster {
 	t.Helper()
-	cl, err := New(hosts, testGeo, cost.DefaultParams())
+	comms := make([]*core.Comm, hosts)
+	for h := range comms {
+		var sys *dram.System
+		var err error
+		if costOnly {
+			sys, err = dram.NewPhantomSystem(geo)
+		} else {
+			sys, err = dram.NewSystem(geo)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		hc, err := core.NewHypercube(sys, []int{geo.NumPEs()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if costOnly {
+			comms[h] = core.NewCostComm(hc, cost.DefaultParams())
+		} else {
+			comms[h] = core.NewComm(hc, cost.DefaultParams())
+		}
+	}
+	cl, err := core.NewCluster(comms)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return cl
 }
 
+func newCluster(t *testing.T, hosts int) *core.Cluster {
+	t.Helper()
+	return build(t, hosts, testGeo, false)
+}
+
 // fill writes per-global-PE data and returns it indexed by global PE.
-func fill(cl *Cluster, off, n int, seed int64) [][]byte {
+func fill(cl *core.Cluster, off, n int, seed int64) [][]byte {
 	rng := rand.New(rand.NewSource(seed))
 	P := cl.PEsPerHost()
-	out := make([][]byte, cl.NumHosts()*P)
+	out := make([][]byte, cl.NumPEs())
 	for h := 0; h < cl.NumHosts(); h++ {
 		for p := 0; p < P; p++ {
 			b := make([]byte, n)
@@ -39,13 +79,50 @@ func fill(cl *Cluster, off, n int, seed int64) [][]byte {
 	return out
 }
 
-func TestNewValidation(t *testing.T) {
-	if _, err := New(0, testGeo, cost.DefaultParams()); err == nil {
-		t.Error("zero hosts accepted")
+// runRooted runs a rooted Gather or Reduce and returns the root's result
+// (nil on a cost-only cluster).
+func runRooted(cl *core.Cluster, d core.ClusterCollective) ([]byte, cost.Breakdown, error) {
+	cp, err := cl.Compile(d)
+	if err != nil {
+		return nil, cost.Breakdown{}, err
 	}
-	if _, err := New(2, dram.Geometry{}, cost.DefaultParams()); err == nil {
-		t.Error("bad geometry accepted")
+	bd, err := cp.Run()
+	if err != nil {
+		return nil, cost.Breakdown{}, err
 	}
+	return cp.Results(), bd, nil
+}
+
+func allReduce(srcOff, dstOff, bytesPerPE int, lvl core.Level) core.ClusterCollective {
+	return core.ClusterCollective{Collective: core.Collective{
+		Prim: core.AllReduce, Dims: dims,
+		Src: core.Span(srcOff, bytesPerPE), Dst: core.At(dstOff),
+		Elem: elem.I32, Op: elem.Sum, Level: lvl,
+	}}
+}
+
+// alltoAll moves blockBytes blocks, one per global PE.
+func alltoAll(cl *core.Cluster, srcOff, dstOff, blockBytes int, lvl core.Level) core.ClusterCollective {
+	return core.ClusterCollective{Collective: core.Collective{
+		Prim: core.AlltoAll, Dims: dims,
+		Src: core.Span(srcOff, cl.NumPEs()*blockBytes), Dst: core.At(dstOff), Level: lvl,
+	}}
+}
+
+// reduceScatter reduces blockBytes blocks, one per global PE.
+func reduceScatter(cl *core.Cluster, srcOff, dstOff, blockBytes int, lvl core.Level) core.ClusterCollective {
+	return core.ClusterCollective{Collective: core.Collective{
+		Prim: core.ReduceScatter, Dims: dims,
+		Src: core.Span(srcOff, cl.NumPEs()*blockBytes), Dst: core.At(dstOff),
+		Elem: elem.I32, Op: elem.Sum, Level: lvl,
+	}}
+}
+
+func allGather(srcOff, dstOff, bytesPerPE int, lvl core.Level) core.ClusterCollective {
+	return core.ClusterCollective{Collective: core.Collective{
+		Prim: core.AllGather, Dims: dims,
+		Src: core.Span(srcOff, bytesPerPE), Dst: core.At(dstOff), Level: lvl,
+	}}
 }
 
 func TestAllReduceCorrectAcrossHosts(t *testing.T) {
@@ -55,7 +132,7 @@ func TestAllReduceCorrectAcrossHosts(t *testing.T) {
 			P := cl.PEsPerHost()
 			m := P * 8
 			in := fill(cl, 0, m, 17)
-			if _, err := cl.AllReduce(0, 2*m, m, elem.I32, elem.Sum, core.CM); err != nil {
+			if _, err := cl.Run(allReduce(0, 2*m, m, core.CM)); err != nil {
 				t.Fatal(err)
 			}
 			want := core.RefReduce(elem.I32, elem.Sum, in)
@@ -77,16 +154,62 @@ func TestAlltoAllCorrectAcrossHosts(t *testing.T) {
 			cl := newCluster(t, hosts)
 			P := cl.PEsPerHost()
 			s := 8
-			total := hosts * P
-			m := total * s
+			m := cl.NumPEs() * s
 			in := fill(cl, 0, m, 23)
-			if _, err := cl.AlltoAll(0, 2*m, s, core.CM); err != nil {
+			if _, err := cl.Run(alltoAll(cl, 0, 2*m, s, core.CM)); err != nil {
 				t.Fatal(err)
 			}
 			want := core.RefAlltoAll(in, s)
 			for h := 0; h < hosts; h++ {
 				for p := 0; p < P; p++ {
 					got := cl.Host(h).GetPEBuffer(p, 2*m, m)
+					if !bytes.Equal(got, want[h*P+p]) {
+						t.Fatalf("host %d PE %d mismatch", h, p)
+					}
+				}
+			}
+		})
+	}
+}
+
+func TestGlobalReduceScatter(t *testing.T) {
+	for _, hosts := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("%dhosts", hosts), func(t *testing.T) {
+			cl := newCluster(t, hosts)
+			P := cl.PEsPerHost()
+			blk := 8
+			m := cl.NumPEs() * blk
+			in := fill(cl, 0, m, 41)
+			if _, err := cl.Run(reduceScatter(cl, 0, 2*m, blk, core.IM)); err != nil {
+				t.Fatal(err)
+			}
+			want := core.RefReduceScatter(elem.I32, elem.Sum, in, blk)
+			for h := 0; h < hosts; h++ {
+				for p := 0; p < P; p++ {
+					got := cl.Host(h).GetPEBuffer(p, 2*m, blk)
+					if !bytes.Equal(got, want[h*P+p]) {
+						t.Fatalf("host %d PE %d mismatch", h, p)
+					}
+				}
+			}
+		})
+	}
+}
+
+func TestGlobalAllGather(t *testing.T) {
+	for _, hosts := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("%dhosts", hosts), func(t *testing.T) {
+			cl := newCluster(t, hosts)
+			P := cl.PEsPerHost()
+			s := 16
+			in := fill(cl, 0, s, 43)
+			if _, err := cl.Run(allGather(0, 256, s, core.CM)); err != nil {
+				t.Fatal(err)
+			}
+			want := core.RefAllGather(in)
+			for h := 0; h < hosts; h++ {
+				for p := 0; p < P; p++ {
+					got := cl.Host(h).GetPEBuffer(p, 256, cl.NumPEs()*s)
 					if !bytes.Equal(got, want[h*P+p]) {
 						t.Fatalf("host %d PE %d mismatch", h, p)
 					}
@@ -106,24 +229,20 @@ func TestFigure23bShapes(t *testing.T) {
 	// hosts' bus-share-per-PE regime.
 	bigGeo := dram.Geometry{Channels: 1, RanksPerChannel: 2, BanksPerChip: 8, MramPerBank: 1 << 19}
 	run := func(hosts int, lvl core.Level, aa bool) cost.Breakdown {
-		cl, err := New(hosts, bigGeo, cost.DefaultParams())
-		if err != nil {
-			t.Fatal(err)
-		}
+		cl := build(t, hosts, bigGeo, false)
 		P := cl.PEsPerHost()
 		var m int
 		if aa {
-			m = hosts * P * 512 // 512 B blocks per global PE
+			m = cl.NumPEs() * 512 // 512 B blocks per global PE
 		} else {
 			m = P * 1024
 		}
 		fill(cl, 0, m, 3)
-		var bd cost.Breakdown
+		d := allReduce(0, 2*m, m, lvl)
 		if aa {
-			bd, err = cl.AlltoAll(0, 2*m, 512, lvl)
-		} else {
-			bd, err = cl.AllReduce(0, 2*m, m, elem.I32, elem.Sum, lvl)
+			d = alltoAll(cl, 0, 2*m, 512, lvl)
 		}
+		bd, err := cl.Run(d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,23 +271,27 @@ func TestFigure23bShapes(t *testing.T) {
 	}
 }
 
-func TestBreakdownTakesSlowestHost(t *testing.T) {
+// § IX-A trends: RS sends data after reduction, AG before duplication —
+// both keep the network share far below AlltoAll's.
+func TestReducedTrafficTrends(t *testing.T) {
 	cl := newCluster(t, 2)
-	// Host 0 does work; host 1 idles. Cluster time = host 0's.
-	P := cl.PEsPerHost()
-	m := P * 8
-	rng := rand.New(rand.NewSource(1))
-	for p := 0; p < P; p++ {
-		b := make([]byte, m)
-		rng.Read(b)
-		cl.Host(0).SetPEBuffer(p, 0, b)
-	}
-	if _, err := cl.Host(0).AlltoAll("1", 0, 2*m, m, core.CM); err != nil {
+	blk := 64
+	m := cl.NumPEs() * blk
+	fill(cl, 0, m, 5)
+	rsBD, err := cl.Run(reduceScatter(cl, 0, 2*m, blk, core.IM))
+	if err != nil {
 		t.Fatal(err)
 	}
-	bd := cl.Breakdown()
-	if bd.Total() != cl.Host(0).Meter().Snapshot().Total() {
-		t.Error("cluster breakdown should equal the busiest host's meter")
+	cl2 := newCluster(t, 2)
+	fill(cl2, 0, m, 5)
+	aaBD, err := cl2.Run(alltoAll(cl2, 0, 2*m, blk, core.CM))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rsNet := float64(rsBD.Get(cost.Network))
+	aaNet := float64(aaBD.Get(cost.Network))
+	if rsNet >= aaNet {
+		t.Errorf("RS network time %v should be below AlltoAll's %v", rsNet, aaNet)
 	}
 }
 
@@ -177,48 +300,60 @@ func TestBreakdownTakesSlowestHost(t *testing.T) {
 func TestCostOnlyClusterMatchesFunctional(t *testing.T) {
 	for _, hosts := range []int{1, 2} {
 		fc := newCluster(t, hosts)
-		cc, err := NewCostOnly(hosts, testGeo, cost.DefaultParams())
-		if err != nil {
-			t.Fatal(err)
-		}
+		cc := build(t, hosts, testGeo, true)
 		if cc.Functional() {
-			t.Fatal("NewCostOnly built a functional cluster")
+			t.Fatal("phantom hosts built a functional cluster")
 		}
 		P := fc.PEsPerHost()
 		m := P * 8
-		rootBuf := make([]byte, hosts*P*8)
+		rootBuf := make([]byte, fc.NumPEs()*8)
 
+		// payload supplies a rooted collective's host payload on a
+		// functional cluster; a cost-only one takes the size from Dst.
+		payload := func(cl *core.Cluster, buf []byte) [][]byte {
+			if cl.Functional() {
+				return [][]byte{buf}
+			}
+			return nil
+		}
 		type step struct {
 			name string
-			run  func(cl *Cluster) (cost.Breakdown, error)
+			run  func(cl *core.Cluster) (cost.Breakdown, error)
 		}
 		steps := []step{
-			{"AllReduce", func(cl *Cluster) (cost.Breakdown, error) {
-				return cl.AllReduce(0, 2*m, m, elem.I32, elem.Sum, core.CM)
+			{"AllReduce", func(cl *core.Cluster) (cost.Breakdown, error) {
+				return cl.Run(allReduce(0, 2*m, m, core.CM))
 			}},
-			{"ReduceScatter", func(cl *Cluster) (cost.Breakdown, error) {
-				gm := hosts * P * 8 // 8-byte blocks, one per global PE
-				return cl.ReduceScatter(0, 2*gm, 8, elem.I32, elem.Sum, core.IM)
+			{"ReduceScatter", func(cl *core.Cluster) (cost.Breakdown, error) {
+				gm := cl.NumPEs() * 8 // 8-byte blocks, one per global PE
+				return cl.Run(reduceScatter(cl, 0, 2*gm, 8, core.IM))
 			}},
-			{"AllGather", func(cl *Cluster) (cost.Breakdown, error) {
-				return cl.AllGather(0, 2*m, 8, core.IM)
+			{"AllGather", func(cl *core.Cluster) (cost.Breakdown, error) {
+				return cl.Run(allGather(0, 2*m, 8, core.IM))
 			}},
-			{"AlltoAll", func(cl *Cluster) (cost.Breakdown, error) {
-				gm := hosts * P * 8
-				return cl.AlltoAll(0, 2*gm, 8, core.CM)
+			{"AlltoAll", func(cl *core.Cluster) (cost.Breakdown, error) {
+				gm := cl.NumPEs() * 8
+				return cl.Run(alltoAll(cl, 0, 2*gm, 8, core.CM))
 			}},
-			{"Broadcast", func(cl *Cluster) (cost.Breakdown, error) {
-				return cl.Broadcast(0, rootBuf[:m], 0, core.Baseline)
+			{"Broadcast", func(cl *core.Cluster) (cost.Breakdown, error) {
+				return cl.Run(core.ClusterCollective{Collective: core.Collective{
+					Prim: core.Broadcast, Dims: dims, Dst: core.Span(0, m),
+					Hosts: payload(cl, rootBuf[:m]), Level: core.Baseline}})
 			}},
-			{"Scatter", func(cl *Cluster) (cost.Breakdown, error) {
-				return cl.Scatter(0, rootBuf, 0, 8, core.IM)
+			{"Scatter", func(cl *core.Cluster) (cost.Breakdown, error) {
+				return cl.Run(core.ClusterCollective{Collective: core.Collective{
+					Prim: core.Scatter, Dims: dims, Dst: core.Span(0, 8),
+					Hosts: payload(cl, rootBuf), Level: core.IM}})
 			}},
-			{"Gather", func(cl *Cluster) (cost.Breakdown, error) {
-				_, bd, err := cl.Gather(0, 0, 8, core.IM)
+			{"Gather", func(cl *core.Cluster) (cost.Breakdown, error) {
+				_, bd, err := runRooted(cl, core.ClusterCollective{Collective: core.Collective{
+					Prim: core.Gather, Dims: dims, Src: core.Span(0, 8), Level: core.IM}})
 				return bd, err
 			}},
-			{"Reduce", func(cl *Cluster) (cost.Breakdown, error) {
-				_, bd, err := cl.Reduce(0, 0, m, elem.I32, elem.Sum, core.IM)
+			{"Reduce", func(cl *core.Cluster) (cost.Breakdown, error) {
+				_, bd, err := runRooted(cl, core.ClusterCollective{Collective: core.Collective{
+					Prim: core.Reduce, Dims: dims, Src: core.Span(0, m),
+					Elem: elem.I32, Op: elem.Sum, Level: core.IM}})
 				return bd, err
 			}},
 		}
@@ -236,5 +371,77 @@ func TestCostOnlyClusterMatchesFunctional(t *testing.T) {
 				t.Errorf("%s (%d hosts): functional %v, cost-only %v", s.name, hosts, want, got)
 			}
 		}
+	}
+}
+
+func TestRootedBroadcast(t *testing.T) {
+	cl := newCluster(t, 3)
+	buf := make([]byte, 64)
+	rand.New(rand.NewSource(1)).Read(buf)
+	if _, err := cl.Run(core.ClusterCollective{Collective: core.Collective{
+		Prim: core.Broadcast, Dims: dims, Dst: core.Span(128, len(buf)),
+		Hosts: [][]byte{buf}, Level: core.CM}}); err != nil {
+		t.Fatal(err)
+	}
+	for h := 0; h < 3; h++ {
+		for p := 0; p < cl.PEsPerHost(); p++ {
+			if !bytes.Equal(cl.Host(h).GetPEBuffer(p, 128, 64), buf) {
+				t.Fatalf("host %d PE %d missing payload", h, p)
+			}
+		}
+	}
+}
+
+func TestRootedScatterGatherRoundTrip(t *testing.T) {
+	cl := newCluster(t, 2)
+	blk := 16
+	buf := make([]byte, cl.NumPEs()*blk)
+	rand.New(rand.NewSource(2)).Read(buf)
+	if _, err := cl.Run(core.ClusterCollective{Collective: core.Collective{
+		Prim: core.Scatter, Dims: dims, Dst: core.Span(0, blk),
+		Hosts: [][]byte{buf}, Level: core.IM}}); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := runRooted(cl, core.ClusterCollective{Collective: core.Collective{
+		Prim: core.Gather, Dims: dims, Src: core.Span(0, blk), Level: core.IM}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, buf) {
+		t.Fatal("scatter/gather round trip mismatch")
+	}
+}
+
+func TestRootedReduce(t *testing.T) {
+	cl := newCluster(t, 4)
+	P := cl.PEsPerHost()
+	m := P * 8
+	in := fill(cl, 0, m, 9)
+	got, bd, err := runRooted(cl, core.ClusterCollective{Collective: core.Collective{
+		Prim: core.Reduce, Dims: dims, Src: core.Span(0, m),
+		Elem: elem.I32, Op: elem.Sum, Level: core.IM}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, core.RefReduce(elem.I32, elem.Sum, in)) {
+		t.Fatal("reduce mismatch")
+	}
+	// Only reduced copies cross the wire: 3 host portions of m bytes.
+	if bd.Get(cost.Network) <= 0 {
+		t.Error("no network time charged")
+	}
+}
+
+func TestRootedValidation(t *testing.T) {
+	cl := newCluster(t, 2)
+	if _, err := cl.Run(core.ClusterCollective{Collective: core.Collective{
+		Prim: core.Broadcast, Dims: dims, Dst: core.Span(0, 8),
+		Hosts: [][]byte{make([]byte, 8)}, Level: core.IM}, Root: 5}); err == nil {
+		t.Error("bad root accepted")
+	}
+	if _, err := cl.Run(core.ClusterCollective{Collective: core.Collective{
+		Prim: core.Scatter, Dims: dims, Dst: core.Span(0, 8),
+		Hosts: [][]byte{make([]byte, 3)}, Level: core.IM}}); err == nil {
+		t.Error("bad buffer size accepted")
 	}
 }

@@ -75,8 +75,7 @@ func WithExecWorkers(n int) MachineOption {
 // construction: SchedWFQ (weighted-fair, the default), SchedEDF
 // (earliest-deadline-first), SchedFIFO (global submission order) or
 // SchedLookahead (makespan-aware reordering). Use ParseSchedPolicy to
-// map names to values. Machine.SetSched switches the policy later at
-// runtime.
+// map names to values. The policy is fixed for the machine's life.
 func WithSched(p SchedPolicy) MachineOption {
 	return func(mc *machineConfig) { mc.sched = p }
 }
@@ -309,29 +308,8 @@ func (m *Machine) AutoObjective() AutoObjective { return m.cc.AutoObjective() }
 // same table on a representative comm).
 func (m *Machine) AutoDecisions() []AutoDecision { return m.cc.AutoDecisions() }
 
-// SetSched switches the machine's submission scheduling policy at
-// runtime: SchedWFQ (weighted-fair, the default), SchedEDF
-// (earliest-deadline-first), SchedFIFO (global submission order) or
-// SchedLookahead (makespan-aware reordering). Safe to call between
-// submissions — bucket virtual times advance identically under every
-// policy, so switching resumes fair.
-//
-// Deprecated: configure the initial policy with the WithSched option at
-// construction; SetSched remains for switching policies at runtime.
-func (m *Machine) SetSched(p SchedPolicy) { m.cc.SetSched(p) }
-
 // Sched returns the machine's submission scheduling policy.
 func (m *Machine) Sched() SchedPolicy { return m.cc.Sched() }
-
-// SetStepped switches the machine into stepped serving mode: Submit
-// only enqueues and the caller drives execution one plan at a time with
-// Step — the deterministic substrate of the open-loop serving driver
-// (internal/serve). Flip it only while nothing is in flight.
-//
-// Deprecated: build stepped machines with the WithStepped option at
-// construction; SetStepped remains for toggling the mode at runtime
-// (only while nothing is in flight).
-func (m *Machine) SetStepped(on bool) { m.cc.SetStepped(on) }
 
 // SetLookahead sets the candidate window of the window-scanning
 // scheduling policies at runtime (see WithLookahead). k must be in
@@ -354,6 +332,13 @@ func (m *Machine) Pending() int { return m.cc.Pending() }
 // everything executed on the machine: serial runs append, submitted
 // plans with disjoint footprints overlap. The makespan of the shared
 // timeline.
+//
+// Meters and MRAM bytes equal a serial replay in either mode, but only
+// a stepped machine (WithStepped) reports a reproducible Elapsed. By
+// default a background worker places each plan when it picks it, so
+// Elapsed (and every Future.Window) depends on how submissions
+// interleave with that worker; compare or gate makespans on stepped
+// machines.
 func (m *Machine) Elapsed() Seconds { return m.cc.Elapsed() }
 
 // Flush blocks until every plan submitted by any tenant has completed,

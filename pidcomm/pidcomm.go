@@ -253,7 +253,7 @@ var ErrTenantClosed = core.ErrTenantClosed
 type SubmitOptions = core.SubmitOptions
 
 // SchedPolicy selects how the machine picks the next queued plan
-// (WithSched / Machine.SetSched). Every value resolves through the
+// (WithSched). Every value resolves through the
 // scheduler registry; ParseSchedPolicy maps names to values.
 type SchedPolicy = core.SchedPolicy
 

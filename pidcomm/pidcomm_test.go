@@ -81,6 +81,19 @@ func TestWithParamsValidates(t *testing.T) {
 	}
 }
 
+func TestNewClusterValidation(t *testing.T) {
+	geo := pidcomm.Geometry{Channels: 1, RanksPerChannel: 1, BanksPerChip: 2, MramPerBank: 1 << 14}
+	if _, err := pidcomm.NewCluster(0, geo, []int{16}); err == nil {
+		t.Error("zero hosts accepted")
+	}
+	if _, err := pidcomm.NewCluster(2, pidcomm.Geometry{}, []int{16}); err == nil {
+		t.Error("bad geometry accepted")
+	}
+	if _, err := pidcomm.NewCluster(2, geo, []int{16}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestDimsString(t *testing.T) {
 	if got := pidcomm.DimsString(3, 1); got != "010" {
 		t.Errorf("DimsString = %q", got)
